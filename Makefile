@@ -8,11 +8,10 @@
 #                 the module call graph) against checks_baseline.json
 #   make bench  - E10 kernel microbenchmarks (pytest-benchmark statistics),
 #                 then BENCH_*.json emission (kernel/sweeps/trace/scale/
-#                 cache/storm/telemetry/shard — scale runs 200/500/1000-
+#                 cache/telemetry/shard/checks — scale runs 200/500/1000-
 #                 station rooms culled vs exhaustive; cache runs the E2
 #                 sweep uncached vs cold vs warm through the content-
-#                 addressed run cache; storm runs the batched-vs-legacy
-#                 homogeneous-timer storm; telemetry exports 1M synthetic
+#                 addressed run cache; telemetry exports 1M synthetic
 #                 events as JSONL vs columnar and probes streaming-
 #                 aggregation memory; shard runs the 1.2k-station multi-
 #                 cell grid sharded vs the single-process oracle; checks
@@ -22,11 +21,10 @@
 #                 gate (rows identical, warm speedup >= 5x, cold overhead
 #                 <= 5%) vs baseline_cache.json, the sweep gate (rows
 #                 identical; 2x parallel speedup on >=4-cpu hosts), the
-#                 storm gate (outcomes identical, >=10x batched speedup)
-#                 vs baseline_storm.json, the telemetry gate
-#                 (streaming summaries byte-identical, columnar >=3x
-#                 smaller and >=2x faster than JSONL, streaming memory
-#                 bounded, disabled-path overhead <= 5%) vs
+#                 telemetry gate (streaming summaries byte-identical,
+#                 columnar >=3x smaller and >=2x faster than JSONL,
+#                 streaming memory bounded, disabled-path overhead
+#                 <= 5%) vs
 #                 baseline_telemetry.json, the shard gate (sharded
 #                 outcomes and merged telemetry byte-identical to the
 #                 oracle, coupled multiprocess == inline; 2x 4-shard
@@ -35,9 +33,7 @@
 #                 warm re-parses, >=3x warm speedup) vs
 #                 baseline_checks.json
 #   make bench-kernel - kernel microbenchmark + its gate only: the
-#                 pytest-benchmark timer chains, BENCH_kernel.json with
-#                 the active dispatch backend (and an explicit skip
-#                 marker when the compiled backend is unavailable), and
+#                 pytest-benchmark timer chains, BENCH_kernel.json, and
 #                 the calibration-relative >=2x dispatch-core gate vs
 #                 baseline_kernel.json.  Seconds, not minutes — the leg
 #                 to run while iterating on the run loop.

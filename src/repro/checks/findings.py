@@ -116,13 +116,13 @@ _CATALOGUE = (
          "instances.",
          "default to None and create the container inside the function"),
     Rule("LPC107", "direct heapq use outside the kernel", ERROR,
-         "Event ordering is the kernel's contract: heap and batch entries "
-         "share one global sequence counter, and the two-source merge in "
-         "Simulator.run is the only place allowed to decide what fires "
-         "next. A private heapq elsewhere re-implements that ordering "
-         "without the tie-break, span-context, and cancellation "
-         "semantics, and its outcomes silently diverge from the "
-         "batching=False oracle.",
+         "Event ordering is the kernel's contract: every event, timer "
+         "classes included, takes its (time, priority, seq) key from one "
+         "global sequence counter, and Simulator.run is the only place "
+         "allowed to decide what fires next. A private heapq elsewhere "
+         "re-implements that ordering without the tie-break, "
+         "span-context, and cancellation semantics, and its events "
+         "silently fire out of order with the simulator's.",
          "schedule through sim.schedule/schedule_at or a sim.batch_class "
          "timer queue instead of a private heap"),
     Rule("LPC108", "cross-shard state access outside the shard runtime",

@@ -19,8 +19,8 @@ from ..kernel.events import Priority
 from ..kernel.scheduler import Simulator
 
 def _fire_sweep(_owner: int, table: "LeaseTable") -> None:
-    """Batched sweep-timer callback (module-level so every table shares
-    one ``lease.sweep`` class; see repro.kernel.batchq)."""
+    """Sweep-timer callback (module-level so every table shares one
+    ``lease.sweep`` class; see ``Simulator.batch_class``)."""
     table._sweep_fire()
 
 
@@ -76,8 +76,8 @@ class LeaseTable:
         self._m_renewed = metrics.counter("leases.renewed")
         self._m_expired = metrics.counter("leases.expired")
         self._m_cancelled = metrics.counter("leases.cancelled")
-        # The periodic expiry sweep rides the kernel's batched timer path:
-        # one shared ``lease.sweep`` class per simulator, self-rescheduling
+        # The periodic expiry sweep is a kernel timer class: one shared
+        # ``lease.sweep`` class per simulator, self-rescheduling
         # with the same (time, priority, seq) consumption a PeriodicTask
         # would have (one event per period, re-armed after the sweep body).
         self._sweep_interval = sweep_interval
@@ -85,7 +85,7 @@ class LeaseTable:
         self._sweep_q = sim.batch_class("lease.sweep", _fire_sweep,
                                         priority=int(Priority.PROTOCOL),
                                         cancellable=True, shared=True)
-        # Pre-bound handler table: resolve the batch queue's schedule
+        # Pre-bound handler table: resolve the timer class's schedule
         # method once so each re-arm is a plain call, not an attribute walk.
         self._schedule_sweep = self._sweep_q.schedule
         self._sweep_handle = self._schedule_sweep(sweep_interval,

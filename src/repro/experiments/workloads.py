@@ -58,25 +58,20 @@ def projector_room(seed: int = 0, *, trace: bool = True,
                    viewer_fps: float = 15.0,
                    register: bool = True,
                    culling: bool = True,
-                   batching: bool = True,
                    trace_mode: str = "head",
-                   trace_capacity: Optional[int] = None,
-                   backend: Optional[str] = None) -> Room:
+                   trace_capacity: Optional[int] = None) -> Room:
     """Build the Smart Projector room.
 
     When ``register`` is True the adapter registers both services as soon
     as it discovers the lookup service (a few hundred milliseconds in).
     ``culling=False`` makes the medium scan every station exhaustively —
     outcome-identical, used to validate the spatial-grid fast path.
-    ``batching=False`` likewise pins the kernel to the legacy per-event
-    heap — the oracle the batched timer path is held byte-identical to.
-    ``trace_mode`` / ``trace_capacity`` / ``backend`` pass straight
-    through to :class:`Simulator` so the dispatch-matrix oracle can run
-    the same room under every run-loop variant.
+    ``trace_mode`` / ``trace_capacity`` pass straight through to
+    :class:`Simulator` so the dispatch-matrix oracle can run the same
+    room under every run-loop variant.
     """
     sim = Simulator(seed=seed, trace=trace, trace_capacity=trace_capacity,
-                    trace_mode=trace_mode, batching=batching,
-                    backend=backend)
+                    trace_mode=trace_mode)
     world = World(width, height)
     medium = WirelessMedium(sim, world, culling=culling)
 
@@ -186,8 +181,7 @@ def broadcast_room(stations: int, *, seed: int = 7, culling: bool = True,
                    tx_power_dbm: float = 0.0, channel: int = 6,
                    frames_per_second: float = 2.0,
                    frame_bytes: int = 66,
-                   trace: bool = False,
-                   batching: bool = True) -> BroadcastRoom:
+                   trace: bool = False) -> BroadcastRoom:
     """Scatter ``stations`` broadcasting MACs over a large world.
 
     The geometry is deliberately sparse (high path-loss exponent, modest
@@ -196,7 +190,7 @@ def broadcast_room(stations: int, *, seed: int = 7, culling: bool = True,
     delivered frame is appended to ``deliveries`` as ``(time, src, rx)``,
     giving the equivalence tests a byte-comparable outcome log.
     """
-    sim = Simulator(seed=seed, trace=trace, batching=batching)
+    sim = Simulator(seed=seed, trace=trace)
     world = World(width, height)
     propagation = PropagationModel(exponent=exponent,
                                    shadowing_sigma_db=sigma_db,

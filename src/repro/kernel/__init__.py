@@ -23,17 +23,15 @@ from .errors import (
     SimulationFinished,
     TransportError,
 )
-from .batchq import BatchHandle, BatchQueue, UnbatchedQueue
 from .events import Event, Priority
 from .process import Process, Signal, spawn
 from .random import RandomStreams
-from .scheduler import PeriodicTask, Simulator
+from .scheduler import BatchClass, PeriodicTask, Simulator
 from .trace import NULL_SPAN, Span, TraceRecord, Tracer
 
 __all__ = [
     "AddressError",
-    "BatchHandle",
-    "BatchQueue",
+    "BatchClass",
     "ConfigurationError",
     "ConstraintViolation",
     "DiscoveryError",
@@ -60,6 +58,5 @@ __all__ = [
     "TraceRecord",
     "Tracer",
     "TransportError",
-    "UnbatchedQueue",
     "spawn",
 ]

@@ -1,234 +1,29 @@
-"""Optional compiled backend for the batch engine's hottest kernels.
+"""Kernel backend name, kept for the frozen benchmark's run manifest.
 
-The pure-Python/numpy implementations below are the *oracle*: they define
-the semantics, every test runs against them, and they are always
-available.  When ``REPRO_KERNEL_BACKEND=compiled`` is set (or a
-``Simulator`` is constructed with ``backend="compiled"``), the kernel
-tries two compilers in order and silently falls back to the oracle when
-neither is present, recording *why* so benchmarks and tests can surface
-an explicit skip marker rather than a silent pass:
-
-1. **mypyc** — an ahead-of-time compiled ``repro.kernel._kernels_c``
-   extension module exporting the same three functions (built out of
-   band; never required).
-2. **numba** — ``@njit`` JIT compilation of loop-form equivalents.
-
-Three kernels are covered, chosen by profiling the batched engine:
-
-``merge_order(time, seq)``
-    The index permutation realising ``(time, seq)`` order.  Serves both
-    ``BatchQueue._flush_pending`` (whose stable argsort by time equals
-    the two-key sort because appends happen in sequence order) and the
-    LSM carry-merge in ``BatchQueue._merged_run``.  Keys are globally
-    unique, so any correct implementation yields the *identical*
-    permutation — byte-identity is provable, not statistical.
-
-``alive_mask(table, slot, gen)``
-    Generation-table liveness for compaction/consolidation:
-    ``table[slot[i]] == gen[i]`` per entry.
-
-``head_scan(times, seqs)``
-    Index of the lexicographic minimum ``(time, seq)`` head — the
-    two-source merge peek across a class's sorted runs.  ``None`` on the
-    pure backend: for the handful of runs a class holds, the builtin
-    ``min`` beats building arrays, so the oracle keeps its scalar path
-    and only a real compiled backend swaps the scan in.
-
-Backends are resolved per :class:`~repro.kernel.scheduler.Simulator`
-construction (cheap: the default short-circuits to the oracle without
-probing any compiler), so two simulators with different backends coexist
-in one process and the identity tests can compare them directly.
+The kernel has one engine, the pure-Python heap in
+:mod:`repro.kernel.scheduler`, and no alternative backend.  This module
+exists only because ``perfbench/worker.py`` records
+``resolve(None).name`` in every run manifest; it always answers
+``"python"``.
 """
 
 from __future__ import annotations
 
-import os
-from functools import lru_cache
-from typing import Any, Callable, Optional, Tuple
+from typing import NamedTuple, Optional
 
-import numpy as np
-
-__all__ = ["Kernels", "resolve", "compiled_info", "BACKEND_ENV"]
-
-#: Environment variable consulted when ``Simulator(backend=None)``.
-BACKEND_ENV = "REPRO_KERNEL_BACKEND"
+__all__ = ["Backend", "resolve"]
 
 
-class Kernels:
-    """One resolved backend: a name, a fallback reason, and the kernels.
+class Backend(NamedTuple):
+    """The active kernel backend, as recorded in a run manifest."""
 
-    Attributes:
-        name: ``"python"`` or ``"compiled"`` — what is actually active.
-        requested: what the caller asked for (differs from ``name`` only
-            when the compiled backend fell back).
-        reason: why a requested compiled backend is not active, or ""
-            when ``name == requested``.
-        merge_order / alive_mask: always-callable kernels.
-        head_scan: compiled head peek, or ``None`` for the scalar oracle.
-    """
-
-    __slots__ = ("name", "requested", "reason", "merge_order",
-                 "alive_mask", "head_scan")
-
-    def __init__(self, name: str, requested: str, reason: str,
-                 merge_order: Callable[..., np.ndarray],
-                 alive_mask: Callable[..., np.ndarray],
-                 head_scan: Optional[Callable[..., int]]) -> None:
-        self.name = name
-        self.requested = requested
-        self.reason = reason
-        self.merge_order = merge_order
-        self.alive_mask = alive_mask
-        self.head_scan = head_scan
+    name: str
 
 
-# ---------------------------------------------------------------------------
-# Pure-Python/numpy oracle kernels
-# ---------------------------------------------------------------------------
-
-def _merge_order_py(time: np.ndarray, seq: np.ndarray) -> np.ndarray:
-    """Permutation realising ``(time, seq)`` order (keys are unique)."""
-    return np.lexsort((seq, time))
+_PYTHON = Backend("python")
 
 
-def _alive_mask_py(table: np.ndarray, slot: np.ndarray,
-                   gen: np.ndarray) -> np.ndarray:
-    """Per-entry liveness against the generation table."""
-    return table[slot] == gen
-
-
-_PYTHON = Kernels("python", "python", "",
-                  _merge_order_py, _alive_mask_py, None)
-
-
-# ---------------------------------------------------------------------------
-# Compiled candidates
-# ---------------------------------------------------------------------------
-
-def _merge_order_loop(time, seq):  # pragma: no cover - compiled only
-    """Loop-form stable merge by ``(time, seq)`` for njit compilation.
-
-    Bottom-up mergesort over an index array: deterministic, and — keys
-    being unique — provably the same permutation as ``np.lexsort``.
-    """
-    n = time.shape[0]
-    idx = np.arange(n).astype(np.int64)
-    tmp = np.empty(n, np.int64)
-    width = 1
-    while width < n:
-        lo = 0
-        while lo < n:
-            mid = lo + width
-            if mid > n:
-                mid = n
-            hi = lo + 2 * width
-            if hi > n:
-                hi = n
-            i = lo
-            j = mid
-            k = lo
-            while i < mid and j < hi:
-                a = idx[i]
-                b = idx[j]
-                if time[a] < time[b] or (time[a] == time[b]
-                                         and seq[a] <= seq[b]):
-                    tmp[k] = a
-                    i += 1
-                else:
-                    tmp[k] = b
-                    j += 1
-                k += 1
-            while i < mid:
-                tmp[k] = idx[i]
-                i += 1
-                k += 1
-            while j < hi:
-                tmp[k] = idx[j]
-                j += 1
-                k += 1
-            lo = hi
-        idx[0:n] = tmp[0:n]
-        width *= 2
-    return idx
-
-
-def _alive_mask_loop(table, slot, gen):  # pragma: no cover - compiled only
-    n = slot.shape[0]
-    out = np.empty(n, np.bool_)
-    for i in range(n):
-        out[i] = table[slot[i]] == gen[i]
-    return out
-
-
-def _head_scan_loop(times, seqs):  # pragma: no cover - compiled only
-    best = 0
-    bt = times[0]
-    bs = seqs[0]
-    for i in range(1, times.shape[0]):
-        t = times[i]
-        if t < bt or (t == bt and seqs[i] < bs):
-            bt = t
-            bs = seqs[i]
-            best = i
-    return best
-
-
-@lru_cache(maxsize=1)
-def _compiled() -> Tuple[Optional[Any], str]:
-    """``(Kernels, "")`` when a compiler is present, else ``(None, why)``.
-
-    Probed lazily (only when a compiled backend is actually requested)
-    and cached for the life of the process: compiler availability cannot
-    change mid-run, and re-probing would re-pay the import cost per
-    ``Simulator``.
-    """
-    # 1. Ahead-of-time: a mypyc-built extension module, if someone ran
-    #    the out-of-band build.  Same signatures as the oracle.
-    try:
-        from . import _kernels_c  # type: ignore[attr-defined]
-    except ImportError:
-        aot_reason = "no mypyc-built repro.kernel._kernels_c module"
-    else:  # pragma: no cover - requires an out-of-band build
-        return (Kernels("compiled", "compiled", "",
-                        _kernels_c.merge_order, _kernels_c.alive_mask,
-                        _kernels_c.head_scan), "")
-    # 2. JIT: numba, when installed.
-    try:
-        from numba import njit  # type: ignore[import-not-found]
-    except ImportError:
-        return (None, f"{aot_reason}; numba not installed")
-    else:  # pragma: no cover - requires numba in the environment
-        return (Kernels("compiled", "compiled", "",
-                        njit(cache=True)(_merge_order_loop),
-                        njit(cache=True)(_alive_mask_loop),
-                        njit(cache=True)(_head_scan_loop)), "")
-
-
-def compiled_info() -> Tuple[bool, str]:
-    """``(available, reason_if_not)`` for benchmarks and skip markers."""
-    kernels, reason = _compiled()
-    return (kernels is not None, reason)
-
-
-def resolve(requested: Optional[str] = None) -> Kernels:
-    """The :class:`Kernels` for ``requested`` (or ``$REPRO_KERNEL_BACKEND``).
-
-    ``"python"``/unset selects the oracle without probing any compiler.
-    ``"compiled"`` probes mypyc then numba and *silently* falls back to
-    the oracle when neither is present — the fallback is recorded in
-    ``Kernels.reason`` so callers that must not skip silently (the
-    benchmark gate, the dispatch-matrix test) can surface it.
-    """
-    name = requested if requested is not None else os.environ.get(
-        BACKEND_ENV, "python")
-    if name in ("", "python"):
-        return _PYTHON
-    if name != "compiled":
-        return Kernels("python", name,
-                       f"unknown backend {name!r}; valid: python, compiled",
-                       _merge_order_py, _alive_mask_py, None)
-    kernels, reason = _compiled()
-    if kernels is not None:  # pragma: no cover - requires a compiler
-        return kernels
-    return Kernels("python", "compiled", reason,
-                   _merge_order_py, _alive_mask_py, None)
+def resolve(requested: Optional[str] = None) -> Backend:
+    """The kernel backend: always the pure-Python heap, whatever is
+    ``requested``."""
+    return _PYTHON

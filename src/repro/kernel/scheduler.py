@@ -22,6 +22,8 @@ optimise the bottleneck" workflow):
 * Bulk cancellation (periodic tasks, retry timers) is O(1) per cancel and
   triggers a heap compaction once dead entries outnumber live ones, so
   ``run``/``peek``/``pending`` never degrade to O(dead events).
+* Homogeneous timer classes (:meth:`Simulator.batch_class`) are named
+  registrations over the same heap: one engine, one queue, one ordering.
 * Determinism: ties are broken by ``(priority, seq)``; all randomness flows
   through :class:`repro.kernel.random.RandomStreams`.
 """
@@ -30,19 +32,21 @@ from __future__ import annotations
 
 import heapq
 from math import inf
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from .backend import Kernels, resolve as _resolve_backend
-from .batchq import COMPACT_MIN_QUEUE, BatchQueue, UnbatchedQueue
 from .dispatch import select_loop
 from .errors import ScheduleError, SimulationFinished
 from .events import Event, Priority
 from .random import RandomStreams
 from .trace import NULL_SPAN, Span, TraceRecord, Tracer
 
-__all__ = ["COMPACT_MIN_QUEUE", "PeriodicTask", "Simulator"]
+__all__ = ["COMPACT_MIN_QUEUE", "BatchClass", "PeriodicTask", "Simulator"]
 
 _PROTOCOL = int(Priority.PROTOCOL)
+
+#: Minimum dead-entry count before cancellation-triggered compaction kicks
+#: in — below this, lazy skip-at-head is always cheap enough.
+COMPACT_MIN_QUEUE: int = 64
 
 
 class Simulator:
@@ -57,18 +61,6 @@ class Simulator:
             ``"head"`` drops the newest records, ``"ring"`` the oldest;
             ``"stream"`` retains nothing and only feeds tracer subscribers
             (pair with a streaming aggregator or live exporter).
-        batching: whether :meth:`batch_class` returns the struct-of-arrays
-            batched engine (the default) or a legacy per-event shim — the
-            byte-identical oracle path the equivalence tests compare
-            against.
-        batch_spans: emit a ``kernel.cohort`` span around every batched
-            cohort.  Off by default because extra spans would break the
-            batching-equivalence oracle; turn on for engine debugging.
-        backend: inner-kernel backend for the batch engine —
-            ``"python"`` (the always-available oracle) or ``"compiled"``
-            (mypyc/numba, silently falling back to the oracle when no
-            compiler is installed).  ``None`` (the default) reads
-            ``$REPRO_KERNEL_BACKEND``.  See :mod:`repro.kernel.backend`.
 
     Example:
         >>> sim = Simulator(seed=1)
@@ -80,15 +72,17 @@ class Simulator:
         (5.0, ['hello'])
     """
 
+    #: Always False: the heap is the only engine.  Kept as a class
+    #: constant only because the frozen benchmark's run manifest
+    #: (``perfbench/worker.py``) reads ``Simulator().batching``.
+    batching = False
+
     def __init__(
         self,
         seed: int = 0,
         trace: bool = True,
         trace_capacity: Optional[int] = None,
         trace_mode: str = "head",
-        batching: bool = True,
-        batch_spans: bool = False,
-        backend: Optional[str] = None,
     ) -> None:
         self._now: float = 0.0
         #: the heap of 7-tuples ``(time, priority, seq, fn, args, ctx,
@@ -97,8 +91,6 @@ class Simulator:
         self._seq: int = 0
         self._running = False
         self._stopped = False
-        #: resolved inner-kernel backend for the batch engine.
-        self._kernels: Kernels = _resolve_backend(backend)
         #: exact count of cancelled events still sitting in the queue.
         self._cancelled_count: int = 0
         #: number of threshold-triggered heap compactions (observability).
@@ -115,19 +107,8 @@ class Simulator:
         #: arbitrary shared registry for components to find each other
         #: (e.g. the radio medium, the lookup service); keyed by name.
         self.context: Dict[str, Any] = {}
-        self.batching = bool(batching)
-        self.batch_spans = bool(batch_spans)
-        #: registered homogeneous batch classes (see :meth:`batch_class`).
-        self._batches: List[BatchQueue] = []
-        self._batch_names: Dict[str, Any] = {}
-        #: cached global batch head ``(time, priority, seq, queue)`` plus
-        #: the best head among the *other* classes (the drain limit), and
-        #: the dirty flag that forces a rescan.  A schedule can only lower
-        #: the minimum, so it updates the cache in O(1); cancels and drains
-        #: set the flag instead.
-        self._bhead: Optional[tuple] = None
-        self._bsecond: Optional[tuple] = None
-        self._bdirty = False
+        #: registered timer classes by name (see :meth:`batch_class`).
+        self._batch_names: Dict[str, BatchClass] = {}
         #: ``kernel.cancelled_ratio`` gauge, created with the registry.
         self._cancel_gauge: Optional[Any] = None
 
@@ -225,22 +206,19 @@ class Simulator:
         return task
 
     # ------------------------------------------------------------------
-    # Batched homogeneous event classes
+    # Homogeneous timer classes
     # ------------------------------------------------------------------
     def batch_class(self, name: str, fn: Callable[[int, Any], None], *,
                     priority: int = Priority.PROTOCOL,
-                    cohort_fn: Optional[Callable[..., None]] = None,
-                    cancellable: bool = True, shared: bool = False) -> Any:
-        """Register a homogeneous event class (see :mod:`.batchq`).
+                    cancellable: bool = True,
+                    shared: bool = False) -> "BatchClass":
+        """Register a homogeneous timer class and return it.
 
-        ``fn(owner, payload)`` is the per-entry callback; every entry of
-        the class shares it, which is what lets the engine store entries
-        struct-of-arrays and drain same-deadline cohorts in one pass.
+        ``fn(owner, payload)`` is the callback every entry of the class
+        shares; entries are plain heap events (see :class:`BatchClass`).
         With ``shared=True`` a second registration under the same name
-        returns the existing queue (for module-level callbacks serving
+        returns the existing class (for module-level callbacks serving
         many components); otherwise names are auto-suffixed on collision.
-        With ``batching=False`` the returned shim schedules plain heap
-        events, byte-identical to the pre-batching kernel.
         """
         names = self._batch_names
         if shared:
@@ -256,60 +234,9 @@ class Simulator:
             while f"{name}#{suffix}" in names:
                 suffix += 1
             name = f"{name}#{suffix}"
-        if self.batching:
-            queue: Any = BatchQueue(self, name, fn, int(priority),
-                                    cohort_fn=cohort_fn,
-                                    cancellable=cancellable)
-            self._batches.append(queue)
-        else:
-            queue = UnbatchedQueue(self, name, fn, int(priority),
-                                   cancellable=cancellable)
+        queue = BatchClass(self, name, fn, int(priority), cancellable)
         names[name] = queue
         return queue
-
-    def _note_batch_key(self, time: float, priority: int, seq: int,
-                        queue: Any) -> None:
-        """O(1) head-cache maintenance for one newly scheduled entry."""
-        if self._bdirty:
-            return
-        head = self._bhead
-        if head is None:
-            self._bhead = (time, priority, seq, queue)
-            self._bsecond = None
-            return
-        if queue is head[3]:
-            if (time, priority, seq) < (head[0], head[1], head[2]):
-                self._bhead = (time, priority, seq, queue)
-            return
-        if (time, priority, seq) < (head[0], head[1], head[2]):
-            # The displaced head belonged to another class, so it is a
-            # valid (conservative) bound on every other class's head.
-            self._bsecond = (head[0], head[1], head[2])
-            self._bhead = (time, priority, seq, queue)
-        else:
-            second = self._bsecond
-            if second is None or (time, priority, seq) < second:
-                self._bsecond = (time, priority, seq)
-
-    def _rescan_batches(self) -> None:
-        """Recompute the global batch head and the best sibling head."""
-        best: Optional[tuple] = None
-        best_queue: Any = None
-        second: Optional[tuple] = None
-        for queue in self._batches:
-            key = queue._head_key()
-            if key is None:
-                continue
-            if best is None or key < best:
-                second = best
-                best = key
-                best_queue = queue
-            elif second is None or key < second:
-                second = key
-        self._bhead = None if best is None else (best[0], best[1], best[2],
-                                                 best_queue)
-        self._bsecond = second
-        self._bdirty = False
 
     # ------------------------------------------------------------------
     # Running
@@ -331,8 +258,6 @@ class Simulator:
         """
         if self._stopped:
             raise SimulationFinished("simulator has been stopped")
-        if self._batches:
-            return self._run_merged(until, max_events)
         traced = self.tracer.enabled or self._span_ctx is not None
         bounded = until is not None or max_events is not None
         loop = select_loop(traced, bounded)
@@ -344,90 +269,6 @@ class Simulator:
                                 inf if max_events is None else max_events)
             else:
                 executed = loop(self, self._queue)
-        finally:
-            self._running = False
-        if until is not None and not self._stopped and self._now < until:
-            self._now = until
-        self.events_executed += executed
-        self._update_cancel_gauge()
-        return executed
-
-    def _run_merged(self, until: Optional[float],
-                    max_events: Optional[int]) -> int:
-        """The two-source merge: heap events interleaved with batch-class
-        drains on the full ``(time, priority, seq)`` key.
-
-        Taken only when batch classes exist, so the pure-heap loop above
-        keeps its zero-overhead fast path.  The heap branch mirrors that
-        loop statement for statement; the batch branch hands the winning
-        class a *limit* — the earliest foreign key (next heap event or
-        sibling class head) — and lets it drain whole cohorts below it.
-        """
-        executed = 0
-        queue = self._queue
-        pop = heapq.heappop
-        self._running = True
-        try:
-            while True:
-                while queue:
-                    head = queue[0]
-                    handle = head[6]
-                    if handle is None or not handle.cancelled:
-                        break
-                    pop(queue)
-                    self._cancelled_count -= 1
-                if self._bdirty:
-                    self._rescan_batches()
-                bhead = self._bhead
-                entry = queue[0] if queue else None
-                # A 7-tuple entry compares against the 3-tuple batch key
-                # on (time, priority, seq) alone: seq is globally unique,
-                # so the comparison never runs past index 2.
-                if entry is not None and (
-                        bhead is None
-                        or entry < (bhead[0], bhead[1], bhead[2])):
-                    if until is not None and entry[0] > until:
-                        break
-                    if max_events is not None and executed >= max_events:
-                        break
-                    pop(queue)
-                    t, _p, _s, fn, args, ctx, handle = entry
-                    if handle is not None:
-                        # Fired: break ref cycles; late cancel() is a no-op.
-                        handle.owner = None
-                        handle.fn = None
-                        handle.args = ()
-                    self._now = t
-                    if ctx is not None or self._span_ctx is not None:
-                        self._span_ctx = ctx
-                        fn(*args)  # type: ignore[misc]
-                        self._span_ctx = None
-                    else:
-                        fn(*args)  # type: ignore[misc]
-                    executed += 1
-                    if self._stopped:
-                        break
-                elif bhead is not None:
-                    if until is not None and bhead[0] > until:
-                        break
-                    if max_events is not None and executed >= max_events:
-                        break
-                    limit = self._bsecond
-                    if entry is not None:
-                        heap_key = (entry[0], entry[1], entry[2])
-                        if limit is None or heap_key < limit:
-                            limit = heap_key
-                    budget = (None if max_events is None
-                              else max_events - executed)
-                    drained = bhead[3]._drain(limit, until, budget)
-                    executed += drained
-                    self._bdirty = True
-                    if self._stopped:
-                        break
-                    if drained == 0:
-                        continue  # stale head (all dead): rescan and retry
-                else:
-                    break
         finally:
             self._running = False
         if until is not None and not self._stopped and self._now < until:
@@ -449,11 +290,6 @@ class Simulator:
                 handle.owner = None  # discarded: late cancel() must not count
         self._queue.clear()
         self._cancelled_count = 0
-        for batch in self._batches:
-            batch._clear()
-        self._bhead = None
-        self._bsecond = None
-        self._bdirty = False
 
     @property
     def stopped(self) -> bool:
@@ -465,10 +301,7 @@ class Simulator:
         O(1): the scheduler tracks the exact count of dead entries instead
         of scanning the heap.
         """
-        live = len(self._queue) - self._cancelled_count
-        for batch in self._batches:
-            live += batch._live
-        return live
+        return len(self._queue) - self._cancelled_count
 
     def peek(self) -> Optional[float]:
         """Time of the next live event, or None if the queue is empty."""
@@ -479,15 +312,7 @@ class Simulator:
                 break
             heapq.heappop(queue)
             self._cancelled_count -= 1
-        head_time = queue[0][0] if queue else None
-        if self._batches:
-            if self._bdirty:
-                self._rescan_batches()
-            bhead = self._bhead
-            if bhead is not None and (head_time is None
-                                      or bhead[0] < head_time):
-                head_time = bhead[0]
-        return head_time
+        return queue[0][0] if queue else None
 
     # ------------------------------------------------------------------
     # Cancellation bookkeeping
@@ -508,15 +333,11 @@ class Simulator:
 
     @property
     def cancelled_ratio(self) -> float:
-        """Dead entries as a fraction of everything still stored — heap
-        plus batch classes.  The same number is exposed live as the
-        ``kernel.cancelled_ratio`` gauge once the metrics registry exists."""
-        dead = self._cancelled_count
+        """Dead entries as a fraction of everything still in the heap.
+        The same number is exposed live as the ``kernel.cancelled_ratio``
+        gauge once the metrics registry exists."""
         total = len(self._queue)
-        for batch in self._batches:
-            dead += batch._dead
-            total += batch._live + batch._dead
-        return dead / total if total else 0.0
+        return self._cancelled_count / total if total else 0.0
 
     def _update_cancel_gauge(self) -> None:
         gauge = self._cancel_gauge
@@ -646,15 +467,78 @@ class Simulator:
 
     def _kernel_probe(self) -> Dict[str, Any]:
         """Engine self-observability for metric snapshots.  Reflects the
-        *internal* event store (batched vs legacy runs differ here even
-        when outcomes are byte-identical), so the equivalence oracle
-        excludes it — see docs/performance.md."""
+        *internal* event store (dead entries, compactions), not what the
+        simulation did, so outcome fingerprints exclude it — see
+        docs/performance.md."""
         return {
             "cancelled_ratio": self.cancelled_ratio,
             "compactions": self.compactions,
-            "batch": {batch.name: batch.stats()
-                      for batch in self._batch_names.values()},
         }
+
+
+class BatchClass:
+    """One homogeneous timer class: a name, a shared callback, a priority.
+
+    Create through :meth:`Simulator.batch_class`, never directly.  Every
+    entry is a plain heap event calling ``fn(owner, payload)``:
+    uncancellable classes take the :meth:`Simulator.schedule_bound` fast
+    path and return None, cancellable ones return the :class:`Event`
+    handle.  The class exists so producers (MAC timers, lease sweeps,
+    pacers, shard receive channels) register one callback by name
+    instead of binding it per call.
+    """
+
+    __slots__ = ("sim", "name", "fn", "priority", "cancellable")
+
+    def __init__(self, sim: Simulator, name: str,
+                 fn: Callable[[int, Any], None], priority: int,
+                 cancellable: bool = True) -> None:
+        self.sim = sim
+        self.name = name
+        self.fn = fn
+        self.priority = int(priority)
+        self.cancellable = bool(cancellable)
+
+    def schedule(self, delay: float, owner: int = 0,
+                 payload: Any = None) -> Optional[Event]:
+        if self.cancellable:
+            return self.sim.schedule(delay, self.fn, owner, payload,
+                                     priority=self.priority)
+        self.sim.schedule_bound(delay, self.fn, (owner, payload),
+                                priority=self.priority)
+        return None
+
+    def schedule_at(self, time: float, owner: int = 0,
+                    payload: Any = None) -> Optional[Event]:
+        event = self.sim.schedule_at(time, self.fn, owner, payload,
+                                     priority=self.priority)
+        return event if self.cancellable else None
+
+    def schedule_many_at(self, times: Sequence[float],
+                         owners: Optional[Sequence[int]] = None,
+                         payloads: Optional[Sequence[Any]] = None) -> None:
+        """Bulk scheduling at absolute times — the cross-shard injection
+        path (:mod:`repro.kernel.shard`).  Non-cancellable classes only;
+        every time must be ``>= now``, validated up front so a bad batch
+        consumes no sequence numbers."""
+        if self.cancellable:
+            raise ScheduleError(
+                "schedule_many_at requires a non-cancellable batch class")
+        sim = self.sim
+        now = sim._now
+        for time in times:
+            if time < now:
+                raise ScheduleError(
+                    f"cannot schedule at {time!r}, now is {now!r}")
+        fn = self.fn
+        priority = self.priority
+        for i, time in enumerate(times):
+            owner = int(owners[i]) if owners is not None else 0
+            payload = payloads[i] if payloads is not None else None
+            # schedule_at keeps the stored deadline exact (now + (t - now)
+            # would round).
+            sim.schedule_at(float(time), fn, owner, payload,
+                            priority=priority)
 
 
 class _SpanScope:

@@ -26,11 +26,11 @@ worker process and synchronises them with classic conservative
 * **Boundary batches.**  Outgoing boundary events are grouped per
   ``(dst, channel)`` into struct-of-arrays batches (one float64 column
   of effect times plus a payload tuple) and land in the receiving
-  shard's :class:`~repro.kernel.batchq.BatchQueue` via one
-  ``schedule_many_at`` chunk append.  Batches are routed and injected
-  in ``(src, channel)`` order, so simultaneous boundary events from
-  different shards always join one ``(time, seq)`` cohort in the same
-  deterministic order — in-process and multi-process runs are
+  shard's timer class (:meth:`Simulator.batch_class`) via one
+  ``schedule_many_at`` call.  Batches are routed and injected in
+  ``(src, channel)`` order, so simultaneous boundary events from
+  different shards always take consecutive ``(time, seq)`` slots in the
+  same deterministic order — in-process and multi-process runs are
   byte-identical.
 
 :class:`ShardedSimulator` is the front-end.  With ``processes=True``
@@ -45,8 +45,8 @@ coordinator; a worker that dies surfaces as a clear
 Per-shard telemetry is reduced *inside* each worker (the builders
 attach a ``StreamingAggregator`` and ship its summary — a few hundred
 bytes, never raw traces) and merged by :func:`merge_summaries`.  The
-merge keeps totals, issue counts and metric *counters*; like the
-batching oracle, it drops ``medium.culling.*`` counters because they
+merge keeps totals, issue counts and metric *counters*; like outcome
+fingerprints, it drops ``medium.culling.*`` counters because they
 report *how* audibility sets were built against the locally attached
 population — legitimately different under partitioning — not *what*
 the simulation did.
@@ -575,7 +575,7 @@ def merge_summaries(summaries: Sequence[Dict[str, Any]],
     latencies and probes are per-engine shapes with no sound cross-shard
     sum).  Counters with a prefix in ``drop_counters`` are excluded —
     they describe engine mechanics, not outcomes, exactly like the
-    kernel probe the batching oracle excludes.  Equivalence tests
+    kernel probe outcome fingerprints exclude.  Equivalence tests
     compare ``merge_summaries(shard_summaries)`` against
     ``merge_summaries([oracle_summary])`` so both sides pass through the
     same reduction.

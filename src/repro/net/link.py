@@ -108,8 +108,8 @@ class WiredLink:
         self.loss = float(loss)
         self.queue_frames = queue_frames
         self._rng = sim.rng(f"link.{a}--{b}")
-        # Serialisation-end and propagation timers ride the batched path;
-        # shared by name, so every wired link drains from the same queues.
+        # Serialisation-end and propagation timers are kernel timer
+        # classes, shared by name across every wired link.
         self._sent_pacer = Pacer(sim, "link.sent", _fire_sent,
                                  priority=_MEDIUM_PRI)
         self._deliver_pacer = Pacer(sim, "link.deliver", _fire_deliver,

@@ -74,11 +74,10 @@ _VECTORISE_MIN: int = 8
 FADE_MARGIN_DB: float = 30.0
 
 # ----------------------------------------------------------------------
-# Batched timer callbacks (module-level so `shared=True` batch classes
+# Timer-class callbacks (module-level so `shared=True` batch classes
 # registered by several media on one simulator compare equal).  These are
 # the three hottest timers in the whole simulator — DIFS/backoff expiry,
-# genie-ACK turnaround, and transmission end — and they run through the
-# kernel's struct-of-arrays batch queues (see repro.kernel.batchq).
+# genie-ACK turnaround, and transmission end (see Simulator.batch_class).
 # ----------------------------------------------------------------------
 def _fire_attempt(_owner: int, mac: "CsmaMac") -> None:
     mac._attempt()
@@ -240,10 +239,9 @@ class WirelessMedium:
         })
         #: cumulative airtime per channel — what a passive scan observes.
         self.channel_airtime: Dict[int, float] = {}
-        # Homogeneous timer classes on the kernel's batched path.  All
-        # three are fire-and-forget (the legacy code used schedule_bound,
-        # which returns no handle either), and shared so several media on
-        # one simulator drain from the same struct-of-arrays queues.
+        # Homogeneous timer classes.  All three are fire-and-forget (they
+        # take the schedule_bound fast path and return no handle), and
+        # shared so several media on one simulator register one class.
         self._attempt_q = sim.batch_class(
             "mac.attempt", _fire_attempt, priority=_PROTOCOL_PRI,
             cancellable=False, shared=True)

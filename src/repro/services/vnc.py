@@ -146,8 +146,8 @@ class VNCViewer:
         # Registry-owned so frame latency appears in run snapshots and
         # close() flushes in-flight requests as abandoned.
         self.latency = sim.metrics.latency(f"vnc.{device.name}", unique=True)
-        # Frame pacing and the stall watchdog run on the kernel's batched
-        # timer path, shared across every viewer on the simulator.
+        # Frame pacing and the stall watchdog are kernel timer classes,
+        # shared across every viewer on the simulator.
         self._pace = Pacer(sim, "vnc.pace", _fire_pace)
         self._stall_pacer = Pacer(sim, "vnc.stall", _fire_stall,
                                   cancellable=True)

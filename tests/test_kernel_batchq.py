@@ -1,16 +1,17 @@
-"""Batch-queue bookkeeping: cancellation accounting and bounded storage.
+"""Timer-class bookkeeping over the heap: cancellation accounting and
+bounded storage.
 
-The lazy-cancel design never removes an entry at ``cancel()`` time — it
-bumps a generation and leaves the row in place — so an unbounded
-cancel/reschedule workload (retry timers, lease renewals torn down on
-every renewal) would grow the struct-of-arrays forever without the
-threshold compaction these tests pin down.
+Entries of a :meth:`Simulator.batch_class` are plain heap events, and a
+cancel never removes one at ``cancel()`` time — the dead tuple stays in
+the heap until it surfaces or a threshold compaction drops it — so an
+unbounded cancel/reschedule workload (retry timers, lease renewals torn
+down on every renewal) would grow the heap forever without the
+compaction these tests pin down.
 """
 
 from __future__ import annotations
 
-from repro.kernel.batchq import COMPACT_MIN_QUEUE
-from repro.kernel.scheduler import Simulator
+from repro.kernel.scheduler import COMPACT_MIN_QUEUE, Simulator
 
 
 def test_cancel_heavy_batch_storage_stays_bounded():
@@ -19,20 +20,19 @@ def test_cancel_heavy_batch_storage_stays_bounded():
                             cancellable=True)
     # 200 rounds of "arm 50 retry timers, then cancel them all" — the
     # pattern a renewal/retry subsystem produces continuously.  Without
-    # threshold compaction this stores 10 000 dead rows.
+    # threshold compaction the heap stores 10 000 dead entries.
     for round_no in range(200):
         handles = [queue.schedule(1000.0 + round_no + i * 1e-3)
                    for i in range(50)]
         for handle in handles:
             handle.cancel()
-        # Compaction keeps the tracked population (live + dead rows)
-        # bounded by the threshold floor plus one round's churn, no
-        # matter how many rounds have passed.
-        assert (queue._live + queue._dead
-                <= max(COMPACT_MIN_QUEUE * 2, queue._live) + 50)
-    assert queue.compactions > 0
-    assert len(queue) == 0
-    assert queue._dead <= COMPACT_MIN_QUEUE * 2
+        # Compaction keeps the heap (live + dead entries) bounded by the
+        # threshold floor plus one round's churn, no matter how many
+        # rounds have passed.
+        assert len(sim._queue) <= COMPACT_MIN_QUEUE * 2 + 50
+    assert sim.compactions > 0
+    assert sim.pending() == 0
+    assert sim._cancelled_count <= COMPACT_MIN_QUEUE * 2
 
 
 def test_mixed_cancel_survivors_still_fire_after_compaction():
@@ -47,7 +47,9 @@ def test_mixed_cancel_survivors_still_fire_after_compaction():
             survivors.add(i)
         else:
             handle.cancel()
-    assert queue.compactions > 0  # the 90% cancel rate forced compaction
+    assert sim.compactions > 0  # the 90% cancel rate forced compaction
+    assert len(sim._queue) < 1000
+    assert sim.pending() == len(survivors)
     sim.run()
     assert sorted(fired) == sorted(survivors)
 
@@ -61,27 +63,29 @@ def test_cancelled_ratio_property_and_gauge():
     assert sim.cancelled_ratio == 0.0
     for handle in handles[:10]:
         handle.cancel()
-    # 10 dead of 40 stored — below the compaction threshold, so all rows
-    # are still in place and the ratio sees them.
+    # 10 dead of 40 in the heap — below the compaction threshold, so
+    # every dead entry is still stored and the ratio sees it.
     assert abs(sim.cancelled_ratio - 0.25) < 1e-9
+    assert sim.pending() == 30
     gauges = sim.metrics.snapshot()["gauges"]
     assert abs(gauges["kernel.cancelled_ratio"]["value"] - 0.25) < 1e-9
     sim.run()
     assert sim.cancelled_ratio == 0.0
+    assert sim.pending() == 0
 
 
 def test_kernel_probe_reports_per_class_stats():
     sim = Simulator(seed=0, trace=False)
     sim.metrics
-    queue = sim.batch_class("test.stats", lambda owner, _p: None,
+    fired = []
+    queue = sim.batch_class("test.stats", lambda owner, _p: fired.append(owner),
                             cancellable=True)
-    handles = [queue.schedule(1.0) for _ in range(8)]
+    handles = [queue.schedule(1.0, owner=i) for i in range(8)]
     handles[0].cancel()
+    assert sim.pending() == 7
+    assert abs(sim.cancelled_ratio - 1 / 8) < 1e-9
     sim.run()
+    assert fired == list(range(1, 8))
+    assert sim.pending() == 0
     probe = sim.metrics.snapshot()["probes"]["kernel"]
-    stats = probe["batch"]["test.stats"]
-    assert stats["scheduled"] == 8
-    assert stats["cancelled"] == 1
-    assert stats["executed"] == 7
-    assert stats["pending"] == 0
-    assert probe["cancelled_ratio"] == 0.0
+    assert probe == {"cancelled_ratio": 0.0, "compactions": 0}

@@ -2,9 +2,7 @@
 byte-identical on seeded workloads.
 
 ``Simulator.run`` selects a monomorphic loop variant at entry (see
-:mod:`repro.kernel.dispatch`) and the batch engine routes its sort /
-liveness / peek kernels through a resolved backend (see
-:mod:`repro.kernel.backend`).  None of that specialisation may change
+:mod:`repro.kernel.dispatch`).  That specialisation may not change
 *what* the simulation computes — only how fast.  These tests sweep the
 full variant matrix:
 
@@ -12,52 +10,96 @@ full variant matrix:
   untraced loops, and every retention policy of the traced one;
 * **metrics**: a periodic MONITOR-priority sampler on or off — the
   monitor events ride the same queue as everything else;
-* **batching**: the batched timer engine vs the legacy per-event heap;
-* **backend**: pure Python vs the compiled kernels.  When no compiler
-  is available the compiled column *skips with an explicit reason* — it
-  must never silently pass by measuring the Python fallback.
+* **timer classes** (ids ``batched`` / ``unbatched``): the producers'
+  timers go through their registered :class:`~repro.kernel.scheduler.
+  BatchClass` (uncancellable classes on the ``schedule_bound`` fast
+  path), or every entry is scheduled one by one with plain
+  ``Simulator.schedule`` / ``schedule_at`` calls;
+* **backend**: the one kernel backend :func:`repro.kernel.backend.
+  resolve` reports, ``python``.
 
-Within each metrics arm, every (trace, batching, backend) combination is
-compared against one reference outcome (trace off, batching on, Python
-backend).  The fingerprint deliberately excludes retained trace records
-— ``ring`` keeps a suffix and ``stream`` keeps nothing by design — and
-the ``kernel.*`` engine-internal metrics, which legitimately differ
-between engines; everything else must match exactly.
+Within each metrics arm, every combination is compared against one
+reference outcome (trace off, timer classes).  The fingerprint
+deliberately excludes retained trace records — ``ring`` keeps a suffix
+and ``stream`` keeps nothing by design — and the ``kernel.*``
+engine-internal metrics, which report how the heap stored the run
+rather than what it computed; everything else must match exactly.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from contextlib import contextmanager
+from typing import Any, Dict, Iterator, Optional, Sequence, Tuple
 
 import pytest
 
 from repro.discovery.leases import LeaseTable
 from repro.experiments.workloads import interferer_field, projector_room
-from repro.kernel.backend import compiled_info
+from repro.kernel.backend import resolve
 from repro.kernel.events import Priority
 from repro.kernel.scheduler import Simulator
-
-_COMPILED_AVAILABLE, _COMPILED_REASON = compiled_info()
-
-#: One pytest param per backend; the compiled column carries an explicit
-#: skip reason straight from the probe (ISSUE 10: auto-skip, never a
-#: silent pass on the fallback).
-BACKENDS = [
-    pytest.param("python", id="backend-python"),
-    pytest.param("compiled", id="backend-compiled",
-                 marks=pytest.mark.skipif(
-                     not _COMPILED_AVAILABLE,
-                     reason=f"compiled backend unavailable: "
-                            f"{_COMPILED_REASON}")),
-]
 
 #: None = tracing disabled (the untraced loop variants).
 TRACE_MODES = (None, "head", "ring", "stream")
 
+#: True = producers schedule through their timer classes (the default).
+TIMER_CLASSES = pytest.mark.parametrize("classes", (True, False),
+                                        ids=("batched", "unbatched"))
+BACKENDS = pytest.mark.parametrize("backend", ("python",),
+                                   ids=("backend-python",))
 
-def _sim_kwargs(trace_mode: Optional[str], batching: bool,
-                backend: str) -> Dict[str, Any]:
-    kwargs: Dict[str, Any] = {"batching": batching, "backend": backend}
+
+class _DirectClass:
+    """A timer class that puts each entry straight on the heap with
+    plain ``schedule`` / ``schedule_at`` calls — the reference the
+    timer-class fast paths must match."""
+
+    def __init__(self, cls: Any) -> None:
+        self.sim = cls.sim
+        self.fn = cls.fn
+        self.priority = cls.priority
+        self.cancellable = cls.cancellable
+
+    def schedule(self, delay: float, owner: int = 0,
+                 payload: Any = None) -> Any:
+        event = self.sim.schedule(delay, self.fn, owner, payload,
+                                  priority=self.priority)
+        return event if self.cancellable else None
+
+    def schedule_at(self, time: float, owner: int = 0,
+                    payload: Any = None) -> Any:
+        event = self.sim.schedule_at(time, self.fn, owner, payload,
+                                     priority=self.priority)
+        return event if self.cancellable else None
+
+    def schedule_many_at(self, times: Sequence[float],
+                         owners: Optional[Sequence[int]] = None,
+                         payloads: Optional[Sequence[Any]] = None) -> None:
+        for i, time in enumerate(times):
+            self.schedule_at(float(time),
+                             int(owners[i]) if owners is not None else 0,
+                             payloads[i] if payloads is not None else None)
+
+
+@contextmanager
+def _timer_classes(classes: bool) -> Iterator[None]:
+    """With ``classes=False``, every ``Simulator.batch_class`` built in
+    the block still registers its name but returns a :class:`_DirectClass`."""
+    if classes:
+        yield
+        return
+    register = Simulator.batch_class
+
+    def direct(self: Simulator, *args: Any, **kwargs: Any) -> _DirectClass:
+        return _DirectClass(register(self, *args, **kwargs))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Simulator, "batch_class", direct)
+        yield
+
+
+def _sim_kwargs(trace_mode: Optional[str]) -> Dict[str, Any]:
+    kwargs: Dict[str, Any] = {}
     if trace_mode is None:
         kwargs["trace"] = False
     else:
@@ -70,8 +112,7 @@ def _sim_kwargs(trace_mode: Optional[str], batching: bool,
 
 def _metrics_fingerprint(sim: Simulator) -> Dict[str, Any]:
     """Non-kernel metrics: *what* the simulation did.  ``kernel.*``
-    gauges report how the engine executed it and legitimately differ
-    between batching modes (same convention as the batch oracle)."""
+    gauges report how the heap stored it (dead entries, compactions)."""
     if sim._metrics is None:
         return {}
     out: Dict[str, Any] = {}
@@ -101,10 +142,10 @@ def _attach_monitor(sim: Simulator, samples: list) -> None:
 # ---------------------------------------------------------------------------
 
 def _projector_outcome(trace_mode: Optional[str], metrics: bool,
-                       batching: bool, backend: str) -> Tuple:
-    room = projector_room(seed=3, **_sim_kwargs(trace_mode, batching,
-                                                backend))
-    interferer_field(room, 4, frames_per_second=40.0)
+                       classes: bool = True) -> Tuple:
+    with _timer_classes(classes):
+        room = projector_room(seed=3, **_sim_kwargs(trace_mode))
+        interferer_field(room, 4, frames_per_second=40.0)
     samples: list = []
     if metrics:
         _attach_monitor(room.sim, samples)
@@ -121,24 +162,23 @@ def projector_reference():
 
     def get(metrics: bool) -> Tuple:
         if metrics not in cache:
-            cache[metrics] = _projector_outcome(None, metrics, True,
-                                                "python")
+            cache[metrics] = _projector_outcome(None, metrics)
         return cache[metrics]
 
     return get
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("batching", (True, False),
-                         ids=("batched", "unbatched"))
+@BACKENDS
+@TIMER_CLASSES
 @pytest.mark.parametrize("metrics", (True, False),
                          ids=("metrics", "no-metrics"))
 @pytest.mark.parametrize("trace_mode", TRACE_MODES,
                          ids=("trace-off", "trace-head", "trace-ring",
                               "trace-stream"))
 def test_projector_room_matrix(projector_reference, trace_mode, metrics,
-                               batching, backend):
-    got = _projector_outcome(trace_mode, metrics, batching, backend)
+                               classes, backend):
+    assert resolve(backend).name == backend
+    got = _projector_outcome(trace_mode, metrics, classes)
     want = projector_reference(metrics)
     for got_part, want_part in zip(got, want):
         assert got_part == want_part
@@ -149,9 +189,10 @@ def test_projector_room_matrix(projector_reference, trace_mode, metrics,
 # ---------------------------------------------------------------------------
 
 def _lease_storm_outcome(trace_mode: Optional[str], metrics: bool,
-                         batching: bool, backend: str) -> Tuple:
-    sim = Simulator(seed=9, **_sim_kwargs(trace_mode, batching, backend))
-    table = LeaseTable(sim, sweep_interval=0.5)
+                         classes: bool = True) -> Tuple:
+    sim = Simulator(seed=9, **_sim_kwargs(trace_mode))
+    with _timer_classes(classes):
+        table = LeaseTable(sim, sweep_interval=0.5)
     rng = sim.rng("storm")
     durations = [2.0, 3.0, 5.0]
     renewed = [0]
@@ -183,61 +224,23 @@ def storm_reference():
 
     def get(metrics: bool) -> Tuple:
         if metrics not in cache:
-            cache[metrics] = _lease_storm_outcome(None, metrics, True,
-                                                  "python")
+            cache[metrics] = _lease_storm_outcome(None, metrics)
         return cache[metrics]
 
     return get
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("batching", (True, False),
-                         ids=("batched", "unbatched"))
+@BACKENDS
+@TIMER_CLASSES
 @pytest.mark.parametrize("metrics", (True, False),
                          ids=("metrics", "no-metrics"))
 @pytest.mark.parametrize("trace_mode", TRACE_MODES,
                          ids=("trace-off", "trace-head", "trace-ring",
                               "trace-stream"))
 def test_lease_storm_matrix(storm_reference, trace_mode, metrics,
-                            batching, backend):
-    got = _lease_storm_outcome(trace_mode, metrics, batching, backend)
+                            classes, backend):
+    assert resolve(backend).name == backend
+    got = _lease_storm_outcome(trace_mode, metrics, classes)
     want = storm_reference(metrics)
     for got_part, want_part in zip(got, want):
         assert got_part == want_part
-
-
-# ---------------------------------------------------------------------------
-# Backend resolution contract
-# ---------------------------------------------------------------------------
-
-def test_compiled_request_records_fallback_reason():
-    """Requesting the compiled backend on a host without a compiler must
-    resolve to Python *with the probe's reason recorded* — the silent
-    degradation the bench payload and CI marker exist to prevent."""
-    sim = Simulator(seed=0, trace=False, backend="compiled")
-    assert sim._kernels.requested == "compiled"
-    if _COMPILED_AVAILABLE:
-        assert sim._kernels.name == "compiled"
-    else:
-        assert sim._kernels.name == "python"
-        assert sim._kernels.reason == _COMPILED_REASON
-        assert sim._kernels.reason  # non-empty: never silent
-
-
-def test_default_backend_is_python_and_probe_free(monkeypatch):
-    monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
-    sim = Simulator(seed=0, trace=False)
-    assert sim._kernels.name == "python"
-    assert sim._kernels.requested == "python"
-
-
-def test_env_var_requests_backend_for_default_sims(monkeypatch):
-    """The CI smoke leg sets REPRO_KERNEL_BACKEND=compiled; default-
-    constructed simulators must honour it — and record the fallback
-    reason when no compiler exists."""
-    monkeypatch.setenv("REPRO_KERNEL_BACKEND", "compiled")
-    sim = Simulator(seed=0, trace=False)
-    assert sim._kernels.requested == "compiled"
-    if not _COMPILED_AVAILABLE:
-        assert sim._kernels.name == "python"
-        assert sim._kernels.reason == _COMPILED_REASON

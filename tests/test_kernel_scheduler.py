@@ -219,3 +219,12 @@ def test_issue_recorded_even_when_tracing_disabled():
 def test_context_registry_shared(sim):
     sim.context["medium"] = object()
     assert "medium" in sim.context
+
+
+def test_frozen_benchmark_manifest_names():
+    """``perfbench/worker.py`` records these two names in every run
+    manifest; removing either breaks the benchmark harness."""
+    from repro.kernel.backend import resolve
+
+    assert resolve(None).name == "python"
+    assert Simulator().batching is False

@@ -200,8 +200,8 @@ def test_simultaneous_boundary_events_form_one_deterministic_cohort():
     assert forked.stats["mode"] == "processes"
     effect_time = 0.1 + 0.05  # send time + lookahead, same float both ways
     log = inline.results[2]
-    # Both events share one effect time (one (time, seq) cohort in the
-    # receiver's batch queue) and arrive in source-shard order.
+    # Both events share one effect time (consecutive (time, seq) slots in
+    # the receiver's timer class) and arrive in source-shard order.
     assert log == [(effect_time, 0, "s0"), (effect_time, 1, "s1")]
     assert forked.results == inline.results
     assert forked.stats["boundary_events"] == 2
