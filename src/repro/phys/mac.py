@@ -27,12 +27,13 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..env.linkcache import LinkCache
+from ..env.linkcache import LinkCache, LinkRecord
 from ..env.radio import (
     NOISE_FLOOR_DBM,
     RATES,
     PropagationModel,
     RateMode,
+    best_rate,
     interference_sum_mw,
     sinr_from_mw,
 )
@@ -113,10 +114,6 @@ def _compute_decode_floor_sinr_db() -> float:
 # module-state write on the fork-reachable path (LPC301); the value is a
 # pure function of the rate table, so there is nothing to defer.
 _DECODE_FLOOR_SINR_DB: float = _compute_decode_floor_sinr_db()
-
-
-def _decode_floor_sinr_db() -> float:
-    return _DECODE_FLOOR_SINR_DB
 
 
 class Transmission:
@@ -209,7 +206,7 @@ class WirelessMedium:
         #: sender address -> (key, tx_power, audible macs, audible names).
         self._audible: Dict[str, tuple] = {}
         self._min_cs_dbm = float("inf")
-        self._decode_floor_dbm = NOISE_FLOOR_DBM + _decode_floor_sinr_db()
+        self._decode_floor_dbm = NOISE_FLOOR_DBM + _DECODE_FLOOR_SINR_DB
         # Medium health lives in the per-simulator registry; ``unique=True``
         # because tests legitimately run several media on one simulator.
         metrics = sim.metrics
@@ -392,12 +389,26 @@ class WirelessMedium:
         self._m_cull_culled.add(len(macs) - 1 - len(audible))
         return entry
 
+    def _judge_audible(self, record: LinkRecord) -> None:
+        """Evaluate the audible predicate for ``record`` at its transmit
+        power and memoise the verdict for the current config epoch."""
+        margin = FADE_MARGIN_DB if self.fast_fading else 0.0
+        record.audible = (record.power - (record.loss + record.shadow)
+                          + margin >= self.audibility_floor_dbm())
+        record.audible_epoch = self._config_epoch
+
+    def _heard(self, sender: "CsmaMac", rx_address: str) -> Optional[LinkRecord]:
+        """The link record ``sender -> rx`` if the audible predicate
+        passes, else None."""
+        record = self.link_cache.link(sender.address, rx_address,
+                                      sender.tx_power_dbm)
+        if record.audible_epoch != self._config_epoch:
+            self._judge_audible(record)
+        return record if record.audible else None
+
     def _audible_to(self, sender: "CsmaMac", rx: "CsmaMac") -> bool:
         """The audible predicate for one directed link (no set build)."""
-        margin = FADE_MARGIN_DB if self.fast_fading else 0.0
-        return (sender.tx_power_dbm
-                - self.link_cache.attenuation_db(sender.address, rx.address)
-                + margin >= self.audibility_floor_dbm())
+        return self._heard(sender, rx.address) is not None
 
     def culling_stats(self) -> Dict[str, float]:
         """Culling health for benchmarks, probes and experiment rows."""
@@ -417,10 +428,6 @@ class WirelessMedium:
     # ------------------------------------------------------------------
     # Channel state as seen by one station
     # ------------------------------------------------------------------
-    def _rx_power(self, tx: Transmission, rx_address: str) -> float:
-        return self.link_cache.rx_power_dbm(
-            tx.power_dbm, tx.sender.address, rx_address)
-
     def _delivery_rng(self, rx_address: str) -> np.random.Generator:
         """The delivery stream for one receiver (``per_station_rng`` mode)."""
         rng = self._rng_by_rx.get(rx_address)
@@ -474,46 +481,49 @@ class WirelessMedium:
         """Interference-free SINR estimate src->dst (rate-adaptation input)."""
         if dst_address not in self._macs:
             raise NetworkError(f"no station {dst_address!r} on this medium")
-        signal = self.link_cache.rx_power_dbm(
-            src.tx_power_dbm, src.address, dst_address)
-        return signal - NOISE_FLOOR_DBM
+        return self.link_cache.link(
+            src.address, dst_address, src.tx_power_dbm).dbm - NOISE_FLOOR_DBM
 
     # ------------------------------------------------------------------
     # Transmission lifecycle
     # ------------------------------------------------------------------
     def transmit(self, mac: "CsmaMac", frame: Frame, rate: RateMode) -> Transmission:
-        now = self.sim.now
+        sim = self.sim
+        now = sim.now
+        channel = mac._channel
         duration = frame.airtime(rate.bits_per_second, PREAMBLE_S)
-        tx = Transmission(mac, frame, mac.channel, rate, mac.tx_power_dbm,
+        tx = Transmission(mac, frame, channel, rate, mac.tx_power_dbm,
                           now, now + duration)
+        active = self._active
         radius = self.interference_radius_m
         if radius is None:
-            for other in self._active:
+            for other in active:
                 other.interferers.append(tx)
                 tx.interferers.append(other)
-        else:
-            world = self.world
+        elif active:
+            distance = self.world.distance_between
             address = mac.address
-            for other in self._active:
-                if world.distance_between(address,
-                                          other.sender.address) <= radius:
+            for other in active:
+                if distance(address, other.sender.address) <= radius:
                     other.interferers.append(tx)
                     tx.interferers.append(other)
-        self._active.append(tx)
+        active.append(tx)
         self._m_transmissions.add()
-        self.channel_airtime[mac.channel] = \
-            self.channel_airtime.get(mac.channel, 0.0) + duration
-        if self.sim.tracer.enabled:
+        airtime = self.channel_airtime
+        airtime[channel] = airtime.get(channel, 0.0) + duration
+        tracing = sim.tracer.enabled
+        if tracing:
             # The airtime span: parented under whatever caused this frame
             # (e.g. a transport send) and ambient while the finish event is
             # scheduled, so delivery work nests beneath it.
-            tx.span = self.sim.span_begin(
+            tx.span = sim.span_begin(
                 "mac.tx", mac.address, frame=frame.frame_id, dst=frame.dst,
-                channel=mac.channel, rate=rate.name)
+                channel=channel, rate=rate.name)
         self._schedule_finish(duration, payload=tx)
-        self.sim.trace("mac.tx", mac.address,
-                       f"tx #{frame.frame_id} -> {frame.dst} @{rate.name}",
-                       bytes=frame.wire_bytes, channel=mac.channel)
+        if tracing:
+            sim.trace("mac.tx", mac.address,
+                      f"tx #{frame.frame_id} -> {frame.dst} @{rate.name}",
+                      bytes=frame.wire_bytes, channel=channel)
         return tx
 
     def _finish(self, tx: Transmission) -> None:
@@ -521,35 +531,41 @@ class WirelessMedium:
         frame = tx.frame
         sender = tx.sender
         channel = tx.channel
+        rate = tx.rate
+        decode = self._decode
         delivered_to_dst: Optional[bool] = None
         if frame.dst == BROADCAST:
             if self.culling:
                 # Grid-backed audible set, cached across frames: per-frame
                 # cost is O(audible neighbours), not O(stations).
                 for mac in self._audible_entry(sender)[2]:
-                    if mac._channel == channel and self._decode(tx, mac):
-                        mac._deliver(frame, tx.rate)
+                    if mac._channel == channel and decode(tx, mac, None):
+                        mac._deliver(frame, rate)
             else:
                 # Exhaustive reference scan: every station, every frame,
                 # gated by the same audibility predicate so outcomes (and
                 # RNG consumption) match the culled path byte-for-byte.
+                heard = self._heard
                 for mac in self._macs.values():
-                    if (mac is not sender and mac._channel == channel
-                            and self._audible_to(sender, mac)
-                            and self._decode(tx, mac)):
-                        mac._deliver(frame, tx.rate)
+                    if mac is not sender and mac._channel == channel:
+                        record = heard(sender, mac.address)
+                        if record is not None and decode(tx, mac, record):
+                            mac._deliver(frame, rate)
         else:
             dst = self._macs.get(frame.dst)
             if dst is None or dst._channel != channel:
                 delivered_to_dst = False
-            elif not self._audible_to(sender, dst):
-                # Below the decode floor the FER is exactly 1.0: the
-                # attempt can never succeed, so skip it outright.
-                delivered_to_dst = False
             else:
-                delivered_to_dst = self._decode(tx, dst)
+                # Below the decode floor the FER is exactly 1.0: the
+                # attempt can never succeed, so an inaudible destination
+                # is skipped outright.
+                record = self.link_cache.link(sender.address, frame.dst,
+                                              sender.tx_power_dbm)
+                if record.audible_epoch != self._config_epoch:
+                    self._judge_audible(record)
+                delivered_to_dst = record.audible and decode(tx, dst, record)
                 if delivered_to_dst:
-                    dst._deliver(frame, tx.rate)
+                    dst._deliver(frame, rate)
             # Promiscuous stations (bridges/access points) overhear
             # unicast frames destined elsewhere, so they can forward them
             # toward the wired network.  An off-segment destination (dst
@@ -557,72 +573,105 @@ class WirelessMedium:
             # bridge's genie-ACK, like a real AP acking on behalf of the
             # distribution system.  The cached promiscuous partition keeps
             # this loop off the full station dict.
-            for mac in self._promiscuous_macs():
+            promiscuous = self._promisc_cache
+            if promiscuous is None or \
+                    self._caches_key[0] != self._config_epoch:
+                promiscuous = self._promiscuous_macs()
+            for mac in promiscuous:
                 if (mac is not sender
                         and mac is not dst
                         and mac._channel == channel
-                        and mac.address != frame.dst
-                        and self._audible_to(sender, mac)
-                        and self._decode(tx, mac)):
-                    mac._deliver(frame, tx.rate)
-                    if dst is None:
-                        delivered_to_dst = True
-        tx.sender._tx_done(tx, delivered_to_dst)
+                        and mac.address != frame.dst):
+                    record = self._heard(sender, mac.address)
+                    if record is not None and decode(tx, mac, record):
+                        mac._deliver(frame, rate)
+                        if dst is None:
+                            delivered_to_dst = True
+        sender._tx_done(tx, delivered_to_dst)
         if tx.span is not None:
             # Ended after _tx_done so the ACK-turnaround event (and any
             # retry it triggers) is causally chained under this attempt.
             self.sim.span_end(
                 tx.span, "failed" if delivered_to_dst is False else "ok")
 
-    def _decode(self, tx: Transmission, rx: "CsmaMac") -> bool:
-        """Did ``rx`` successfully decode ``tx``?  SINR through FER."""
+    def _decode(self, tx: Transmission, rx: "CsmaMac",
+                record: Optional[LinkRecord]) -> bool:
+        """Did ``rx`` successfully decode ``tx``?  SINR through FER.
+
+        ``record`` is the ``tx.sender -> rx`` link when the caller already
+        holds it (None makes this look it up).  Only the deterministic
+        terms come from the record; the fading and delivery draws happen
+        per frame, in the same order as an unmemoised evaluation.
+        """
         if rx.receiving_disabled:
             return False
-        cache = self.link_cache
         rx_address = rx.address
-        signal = cache.rx_power_dbm(tx.power_dbm, tx.sender.address,
-                                    rx_address)
-        if self.fast_fading:
+        link = self.link_cache.link
+        if record is None or record.power != tx.power_dbm:
+            record = link(tx.sender.address, rx_address, tx.power_dbm)
+        signal_mw = record.mw
+        fading = self.fast_fading
+        if fading:
             # Rayleigh envelope: exponentially-distributed power with unit
             # mean; deep fades (-10 dB and worse) hit ~10% of frames.
             fading_rng = (self._fading_rng_for(rx_address)
                           if self.per_station_rng else self._fading_rng)
-            signal += 10.0 * _math_log10(
+            signal = record.dbm + 10.0 * _math_log10(
                 max(fading_rng.exponential(1.0), 1e-6))
+            signal_mw = 10.0 ** (signal / 10.0)
         interference_mw = 0.0
-        if tx.interferers:
-            rx_channel = rx.channel
-            interferer_powers = []
-            overlaps = []
-            for other in tx.interferers:
+        interferers = tx.interferers
+        if interferers:
+            rx_channel = rx._channel
+            # dBm values are only collected when the vectorised pass could
+            # be taken; shorter lists sum in the scalar loop alone.
+            powers = overlaps = None
+            if len(interferers) >= _VECTORISE_MIN:
+                powers, overlaps = [], []
+            for other in interferers:
                 if other.sender is rx:
                     return False  # half-duplex: we were transmitting
                 factor = overlap_factor(rx_channel, other.channel)
                 if factor <= 0.0:
                     continue
-                interferer_powers.append(cache.rx_power_dbm(
-                    other.power_dbm, other.sender.address, rx_address))
-                overlaps.append(factor)
-            if len(interferer_powers) >= _VECTORISE_MIN:
+                term = link(other.sender.address, rx_address, other.power_dbm)
+                interference_mw += term.mw * factor
+                if powers is not None:
+                    powers.append(term.dbm)
+                    overlaps.append(factor)
+            if powers is not None and len(powers) >= _VECTORISE_MIN:
                 # One vectorised NumPy pass over all interferers.
                 interference_mw = interference_sum_mw(
-                    np.asarray(interferer_powers), np.asarray(overlaps))
-            else:
-                for power, factor in zip(interferer_powers, overlaps):
-                    interference_mw += 10.0 ** (power / 10.0) * factor
-        ratio = sinr_from_mw(10.0 ** (signal / 10.0), interference_mw)
-        failure_probability = tx.rate.fer(ratio, tx.frame.wire_bytes)
+                    np.asarray(powers), np.asarray(overlaps))
+        wire_bytes = tx.frame.wire_bytes
+        rate = tx.rate
+        if fading or interference_mw != 0.0:
+            ratio = sinr_from_mw(signal_mw, interference_mw)
+            failure_probability = rate.fer(ratio, wire_bytes)
+        else:
+            # Clean channel: SINR and FER are fixed per link, rate and
+            # frame size for the whole epoch.
+            memo = record.memo
+            if memo is None:
+                memo = record.memo = {}
+            clean = memo.get(wire_bytes)
+            if clean is None or clean[0] is not rate:
+                ratio = sinr_from_mw(signal_mw, 0.0)
+                clean = (rate, ratio, rate.fer(ratio, wire_bytes))
+                memo[wire_bytes] = clean
+            _, ratio, failure_probability = clean
         rng = (self._delivery_rng(rx_address) if self.per_station_rng
                else self._rng)
-        ok = bool(rng.random() >= failure_probability)
-        if ok:
+        if rng.random() >= failure_probability:
             self._m_deliveries.add()
-        else:
-            self._m_decode_failures.add()
-            self.sim.trace("mac.loss", rx.address,
-                           f"decode failure #{tx.frame.frame_id} sinr={ratio:.1f}dB",
-                           sinr_db=ratio, fer=failure_probability)
-        return ok
+            return True
+        self._m_decode_failures.add()
+        sim = self.sim
+        if sim.tracer.enabled:
+            sim.trace("mac.loss", rx_address,
+                      f"decode failure #{tx.frame.frame_id} sinr={ratio:.1f}dB",
+                      sinr_db=ratio, fer=failure_probability)
+        return False
 
 
 def _log10(x: float) -> float:
@@ -658,9 +707,9 @@ class CsmaMac:
         self.sim = sim
         self.medium = medium
         # Pre-bound handler table for the per-frame timer producers:
-        # ``_kick``/``_backoff``/``_tx_done`` fire once per frame attempt,
-        # and the two-attribute walk to the shared batch queues was
-        # measurable at storm rates.
+        # ``send``/``_complete``/``_backoff``/``_tx_done`` fire once per
+        # frame attempt, and the two-attribute walk to the shared batch
+        # queues was measurable at storm rates.
         self._schedule_attempt = medium._attempt_q.schedule
         self._schedule_ack = medium._ack_q.schedule
         self.address = address
@@ -740,38 +789,41 @@ class CsmaMac:
     # ------------------------------------------------------------------
     def send(self, frame: Frame) -> bool:
         """Queue a frame; returns False (and counts a drop) when full."""
-        if len(self._queue) >= self.queue_limit:
+        queue = self._queue
+        if len(queue) >= self.queue_limit:
             self.stats["queue_drops"] += 1
             self._m_queue_drops.add()
             self.sim.trace("mac.qdrop", self.address,
                            f"queue full, dropping #{frame.frame_id}")
             return False
-        self._queue.append(frame)
+        queue.append(frame)
         self.stats["enqueued"] += 1
-        self._kick()
+        if self._in_flight is None and not self._attempt_pending:
+            self._attempt_pending = True
+            self._schedule_attempt(DIFS_S, payload=self)
         return True
 
     def queue_depth(self) -> int:
         return len(self._queue)
 
-    def _kick(self) -> None:
-        if self._in_flight is None and self._queue and not self._attempt_pending:
-            self._attempt_pending = True
-            self._schedule_attempt(DIFS_S, payload=self)
-
     def _attempt(self) -> None:
         self._attempt_pending = False
         if self._in_flight is not None or not self._queue:
             return
-        if self.medium.busy_for(self):
+        medium = self.medium
+        # An idle medium has nothing to carrier-sense.
+        if medium._active and medium.busy_for(self):
             self._backoff()
             return
         frame = self._queue.popleft()
         self._in_flight = frame
-        self.stats["tx_attempts"] += 1
-        rate = self.select_rate(frame)
-        tx = self.medium.transmit(self, frame, rate)
-        self.stats["busy_time"] += tx.end - tx.start
+        stats = self.stats
+        stats["tx_attempts"] += 1
+        rate = self.fixed_rate
+        if rate is None:
+            rate = self.select_rate(frame)
+        tx = medium.transmit(self, frame, rate)
+        stats["busy_time"] += tx.end - tx.start
 
     def _backoff(self) -> None:
         self.stats["backoffs"] += 1
@@ -784,16 +836,27 @@ class CsmaMac:
         """PHY rate for this frame: pinned, or SINR-driven adaptation.
 
         Broadcasts always use the base rate, as real DCF does, so every
-        station can decode discovery announcements.
+        station can decode discovery announcements.  Adapted choices are
+        memoised on the link record per ``(wire_bytes, fer_target)``.
         """
-        from ..env.radio import RATES, best_rate
-
         if self.fixed_rate is not None:
             return self.fixed_rate
-        if frame.dst == BROADCAST or frame.dst not in self.medium._macs:
+        dst = frame.dst
+        medium = self.medium
+        if dst == BROADCAST or dst not in medium._macs:
             return RATES[0]
-        estimate = self.medium.expected_sinr_db(self, frame.dst)
-        return best_rate(estimate, frame.wire_bytes, self.fer_target)
+        record = medium.link_cache.link(self.address, dst, self.tx_power_dbm)
+        memo = record.memo
+        if memo is None:
+            memo = record.memo = {}
+        wire_bytes = frame.wire_bytes
+        key = (wire_bytes, self.fer_target)
+        rate = memo.get(key)
+        if rate is None:
+            rate = best_rate(record.dbm - NOISE_FLOOR_DBM, wire_bytes,
+                             self.fer_target)
+            memo[key] = rate
+        return rate
 
     # ------------------------------------------------------------------
     # Outcome handling (genie-ACK)
@@ -832,15 +895,19 @@ class CsmaMac:
         self._in_flight = None
         self._retries = 0
         self._cw = self.CW_MIN
-        self._kick()
+        if self._queue and not self._attempt_pending:
+            self._attempt_pending = True
+            self._schedule_attempt(DIFS_S, payload=self)
 
     # ------------------------------------------------------------------
     # Receiving
     # ------------------------------------------------------------------
     def _deliver(self, frame: Frame, rate: RateMode) -> None:
         self.stats["rx_frames"] += 1
-        self.sim.trace("mac.rx", self.address,
-                       f"rx #{frame.frame_id} from {frame.src} @{rate.name}")
+        sim = self.sim
+        if sim.tracer.enabled:
+            sim.trace("mac.rx", self.address,
+                      f"rx #{frame.frame_id} from {frame.src} @{rate.name}")
         if self.on_receive is not None:
             self.on_receive(frame)
 

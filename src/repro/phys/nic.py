@@ -80,7 +80,8 @@ class WirelessNIC:
         return self.send_frame(frame)
 
     def send_frame(self, frame: Frame) -> bool:
-        if self.dead:
+        # Mains-powered radios (no battery) can never die: skip the probe.
+        if self.energy.battery is not None and self.dead:
             return False
         accepted = self.mac.send(frame)
         self._account_energy()

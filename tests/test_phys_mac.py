@@ -5,7 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.env.radio import RATE_BY_NAME
+from repro.experiments.workloads import presentation_workflow, projector_room
 from repro.kernel.errors import ConfigurationError
+from repro.kernel.scheduler import Simulator
 from repro.net.addresses import BROADCAST
 from repro.net.frames import Frame
 from repro.phys.mac import ACK_S, CsmaMac, PREAMBLE_S, WirelessMedium
@@ -278,3 +280,29 @@ def test_scan_and_select_moves_off_congested_channel(sim, world, medium):
 def test_scan_on_quiet_band_keeps_lowest_channel(sim, world, medium):
     a = _station(sim, world, medium, "a", (10, 10), channel=1)
     assert a.scan_and_select() == 1
+
+
+def test_tracing_off_keeps_mac_records_off_the_trace_path(monkeypatch):
+    """With the tracer disabled, the MAC builds no ``mac.*`` trace
+    records at all (not even to have them dropped), while ``issue.*``
+    records — which E9 depends on — are still recorded."""
+    categories = []
+    original = Simulator.trace
+
+    def spy(self, category, source, message, **data):
+        categories.append(category)
+        original(self, category, source, message, **data)
+
+    monkeypatch.setattr(Simulator, "trace", spy)
+    room = projector_room(seed=3, trace=False)
+    presentation_workflow(room)
+    room.sim.run(until=15.0)
+    # Deafen the adapter: frames to it exhaust their retries and the MAC
+    # raises a radio issue.
+    room.adapter.nic.mac.receiving_disabled = True
+    room.sim.run(until=30.0)
+
+    assert not room.sim.tracer.enabled
+    assert room.medium.total_transmissions > 0
+    assert [c for c in categories if c.startswith("mac.")] == []
+    assert room.sim.tracer.select("issue.radio")
