@@ -185,6 +185,20 @@ def _dotted(node: ast.AST) -> Optional[Tuple[str, ...]]:
     return None
 
 
+def _outer_lambdas(node: ast.AST) -> List[ast.Lambda]:
+    """Lambdas under ``node`` that are not nested in another lambda (the
+    scanner walks an inner lambda as part of its outer one)."""
+    found: List[ast.Lambda] = []
+    stack = [node]
+    while stack:
+        current = stack.pop()
+        if isinstance(current, ast.Lambda):
+            found.append(current)
+            continue
+        stack.extend(reversed(list(ast.iter_child_nodes(current))))
+    return found
+
+
 class _FunctionScanner(ast.NodeVisitor):
     """Collect one function body's state facts.
 
@@ -265,7 +279,9 @@ class _FunctionScanner(ast.NodeVisitor):
 
     # -- driving --------------------------------------------------------
     def scan(self) -> None:
-        for stmt in self.root.body:
+        body = self.root.body
+        # A lambda's body is one expression, not a statement list.
+        for stmt in body if isinstance(body, list) else [body]:
             self.visit(stmt)
         state = self.collector.summary.state
         for name, line in self._global_rebinds:
@@ -537,6 +553,16 @@ class _ModuleCollector:
                 self.scan_function(stmt, parent=qualname)
             elif isinstance(stmt, ast.ClassDef):
                 self.scan_class(stmt, parent=qualname)
+            else:
+                # Lambdas in the class body — ``field(default_factory=
+                # lambda: next(_ids))`` — have only the generated
+                # constructor as caller, so they count as its code.
+                for lam in _outer_lambdas(stmt):
+                    facts = FunctionFacts(qualname=f"{qualname}.__init__",
+                                          line=lam.lineno)
+                    _FunctionScanner(self, facts, lam).scan()
+                    if facts.interesting():
+                        self.summary.functions.append(facts)
 
     def note_call(self, chain: Tuple[str, ...]) -> None:
         """Attribute-resolved call into an imported repro module.

@@ -46,7 +46,7 @@ from .layers import (
     import_graph,
 )
 
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 
 @dataclass

@@ -481,11 +481,12 @@ class BatchClass:
 
     Create through :meth:`Simulator.batch_class`, never directly.  Every
     entry is a plain heap event calling ``fn(owner, payload)``:
-    uncancellable classes take the :meth:`Simulator.schedule_bound` fast
-    path and return None, cancellable ones return the :class:`Event`
-    handle.  The class exists so producers (MAC timers, lease sweeps,
-    pacers, shard receive channels) register one callback by name
-    instead of binding it per call.
+    uncancellable classes push a :meth:`Simulator.schedule_bound`-style
+    entry (no :class:`Event`, ``None`` handle) and return None,
+    cancellable ones return the :class:`Event` handle.  The class exists
+    so producers (MAC timers, lease sweeps, pacers, shard receive
+    channels) register one callback by name instead of binding it per
+    call.
     """
 
     __slots__ = ("sim", "name", "fn", "priority", "cancellable")
@@ -504,8 +505,15 @@ class BatchClass:
         if self.cancellable:
             return self.sim.schedule(delay, self.fn, owner, payload,
                                      priority=self.priority)
-        self.sim.schedule_bound(delay, self.fn, (owner, payload),
-                                priority=self.priority)
+        # The schedule_bound fast path, inlined: MAC and medium timers
+        # fire once per frame, so this is one call per timer, not two.
+        # Same 7-tuple, same seq draw, same span-context capture.
+        sim = self.sim
+        seq = sim._seq
+        sim._seq = seq + 1
+        heapq.heappush(sim._queue, (sim._now + delay, self.priority, seq,
+                                    self.fn, (owner, payload),
+                                    sim._span_ctx, None))
         return None
 
     def schedule_at(self, time: float, owner: int = 0,

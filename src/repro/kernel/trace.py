@@ -249,8 +249,12 @@ class Tracer:
                 self.records.append(record)  # deque evicts the oldest
         else:
             self.records.append(record)
+        # TraceRecord.matches(prefix), inlined: the empty prefix, the
+        # category itself and its dotted children match.
+        category = record.category
         for prefix, callback in self._subscribers:
-            if record.matches(prefix):
+            if (not prefix or category == prefix
+                    or category.startswith(prefix + ".")):
                 callback(record)
 
     def subscribe(self, prefix: str, callback: Callable[[TraceRecord], None]) -> Callable[[], None]:

@@ -17,7 +17,7 @@ from ..kernel.errors import ConfigurationError
 from ..kernel.events import Priority
 from ..kernel.scheduler import Simulator
 from .addresses import validate_address
-from .frames import Frame
+from .frames import Frame, frame_id_counter
 from .queueing import DropTailQueue, Pacer
 
 _MEDIUM_PRI = int(Priority.MEDIUM)
@@ -43,11 +43,16 @@ class WiredPort:
         self.queue = DropTailQueue(link.queue_frames, link.sim,
                                    f"wired.{self.address}")
         self._busy = False
+        self._frame_ids = frame_id_counter(link.sim)
         self.tx_frames = 0
         self.rx_frames = 0
 
     def send_frame(self, frame: Frame) -> bool:
-        """Queue a frame for the far end; False on queue overflow."""
+        """Queue a frame for the far end; False on queue overflow.
+
+        Mints the frame's id on first entry, like :meth:`CsmaMac.send`."""
+        if frame.frame_id is None:
+            frame.frame_id = next(self._frame_ids)
         if not self.queue.push(frame):
             self.link.sim.trace("link.qdrop", self.address,
                                 f"queue full, dropping #{frame.frame_id}")

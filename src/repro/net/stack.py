@@ -90,10 +90,14 @@ class NetworkStack:
         self.rx_frames += 1
         handler = self._ports.get(frame.port)
         if handler is None:
+            # Per frame in the interference experiments (traffic to ports
+            # nobody binds): no Counter.add call, no message unless traced.
             self.rx_unbound += 1
-            self._m_rx_unbound.add()
-            self.sim.trace("stack.unbound", self.address,
-                           f"no listener on port {frame.port}")
+            self._m_rx_unbound.value += 1.0
+            sim = self.sim
+            if sim.tracer.enabled:
+                sim.trace("stack.unbound", self.address,
+                          f"no listener on port {frame.port}")
             return
         handler(frame)
 

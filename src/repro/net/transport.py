@@ -18,8 +18,7 @@ genie-ACK duplicates).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Set, Tuple
+from typing import Any, Callable, Dict, NamedTuple, Optional, Set, Tuple
 
 from ..kernel.errors import ConfigurationError, TransportError
 from ..kernel.events import Priority
@@ -28,9 +27,10 @@ from .frames import MTU_BYTES, Frame
 from .stack import NetworkStack
 
 
-
-@dataclass(frozen=True)
-class Segment:
+# Headers are immutable NamedTuples (one per frame, so construction cost
+# counts) and are dispatched by isinstance in ``_receive``; nothing
+# compares them for equality.
+class Segment(NamedTuple):
     """Transport header riding in a frame payload."""
 
     message_id: int
@@ -40,8 +40,7 @@ class Segment:
     total_bytes: int = 0  #: declared size of the whole message
 
 
-@dataclass(frozen=True)
-class Ack:
+class Ack(NamedTuple):
     message_id: int
     index: int
 
@@ -190,41 +189,44 @@ class ReliableEndpoint:
         return max(1, tx.size_bytes - MTU_BYTES * (tx.segments - 1))
 
     def _push(self, tx: _TxMessage) -> None:
-        """Fill the window under the message's span (see ``_push_now``)."""
-        span = tx.span
-        if span is None or span.span_id is None:
-            self._push_now(tx)
-            return
-        saved = self.sim._span_ctx
-        self.sim._span_ctx = span.span_id
-        try:
-            self._push_now(tx)
-        finally:
-            self.sim._span_ctx = saved
-
-    def _push_now(self, tx: _TxMessage) -> None:
         """Fill the window with not-yet-in-flight segments, arm the timer.
 
         Only segments that are neither acked nor already in flight are
         (re)sent, so an arriving ACK opens exactly one window slot instead
-        of blasting duplicates of everything outstanding.
+        of blasting duplicates of everything outstanding.  With tracing on
+        the message's span is ambient meanwhile, so the frames and the
+        retransmission timer nest beneath it.
         """
         if tx.message_id not in self._tx:
             return
-        room = self.window - len(tx.inflight)
-        if room > 0:
-            for index in sorted(tx.unacked - tx.inflight)[:room]:
-                tx.inflight.add(index)
-                data = tx.obj if index == tx.segments - 1 else None
-                segment = Segment(tx.message_id, index, tx.segments, data,
-                                  tx.size_bytes)
-                self.stack.send(tx.dst, segment,
-                                self._segment_bytes(tx, index),
-                                self.port, kind="data")
-        if tx.timer is not None:
-            tx.timer.cancel()
-        tx.timer = self.sim.schedule(tx.timeout, self._timeout, tx,
-                                     priority=Priority.PROTOCOL)
+        sim = self.sim
+        saved = sim._span_ctx
+        span = tx.span
+        if span is not None and span.span_id is not None:
+            sim._span_ctx = span.span_id
+        try:
+            room = self.window - len(tx.inflight)
+            if room > 0:
+                if tx.segments == 1:
+                    # The only candidate is segment 0: no set difference,
+                    # no sort.
+                    due = (0,) if tx.unacked and not tx.inflight else ()
+                else:
+                    due = sorted(tx.unacked - tx.inflight)[:room]
+                for index in due:
+                    tx.inflight.add(index)
+                    data = tx.obj if index == tx.segments - 1 else None
+                    segment = Segment(tx.message_id, index, tx.segments,
+                                      data, tx.size_bytes)
+                    self.stack.send(tx.dst, segment,
+                                    self._segment_bytes(tx, index),
+                                    self.port, kind="data")
+            if tx.timer is not None:
+                tx.timer.cancel()
+            tx.timer = sim.schedule(tx.timeout, self._timeout, tx,
+                                    priority=Priority.PROTOCOL)
+        finally:
+            sim._span_ctx = saved
 
     def _timeout(self, tx: _TxMessage) -> None:
         if tx.message_id not in self._tx or not tx.unacked:

@@ -44,7 +44,7 @@ from ..kernel.errors import ConfigurationError, NetworkError
 from ..kernel.events import Priority
 from ..kernel.scheduler import Simulator
 from ..net.addresses import BROADCAST
-from ..net.frames import HEADER_BYTES, Frame
+from ..net.frames import HEADER_BYTES, Frame, frame_id_counter
 
 #: 802.11b long-preamble PLCP duration (s).
 PREAMBLE_S: float = 192e-6
@@ -86,7 +86,10 @@ def _fire_attempt(_owner: int, mac: "CsmaMac") -> None:
 
 def _fire_ack(_owner: int, pack: tuple) -> None:
     mac, frame, delivered = pack
-    mac._ack_outcome(frame, delivered)
+    if delivered:
+        mac._complete(True)
+    else:
+        mac._ack_lost(frame)
 
 
 def _fire_finish(_owner: int, tx: "Transmission") -> None:
@@ -355,7 +358,7 @@ class WirelessMedium:
         entry = self._audible.get(sender.address)
         tx_power = sender.tx_power_dbm
         if entry is not None and entry[0] == key and entry[1] == tx_power:
-            self._m_cull_reuses.add()
+            self._m_cull_reuses.value += 1.0  # Counter.add(), inlined
             return entry
         margin = FADE_MARGIN_DB if self.fast_fading else 0.0
         floor = self.audibility_floor_dbm()
@@ -489,9 +492,9 @@ class WirelessMedium:
     # ------------------------------------------------------------------
     def transmit(self, mac: "CsmaMac", frame: Frame, rate: RateMode) -> Transmission:
         sim = self.sim
-        now = sim.now
+        now = sim._now
         channel = mac._channel
-        duration = frame.airtime(rate.bits_per_second, PREAMBLE_S)
+        duration = PREAMBLE_S + (8.0 * frame.wire_bytes) / rate.bits_per_second
         tx = Transmission(mac, frame, channel, rate, mac.tx_power_dbm,
                           now, now + duration)
         active = self._active
@@ -508,7 +511,7 @@ class WirelessMedium:
                     other.interferers.append(tx)
                     tx.interferers.append(other)
         active.append(tx)
-        self._m_transmissions.add()
+        self._m_transmissions.value += 1.0  # Counter.add(), inlined
         airtime = self.channel_airtime
         airtime[channel] = airtime.get(channel, 0.0) + duration
         tracing = sim.tracer.enabled
@@ -662,10 +665,11 @@ class WirelessMedium:
             _, ratio, failure_probability = clean
         rng = (self._delivery_rng(rx_address) if self.per_station_rng
                else self._rng)
+        # Per-frame counters bump Counter.value directly (== add()).
         if rng.random() >= failure_probability:
-            self._m_deliveries.add()
+            self._m_deliveries.value += 1.0
             return True
-        self._m_decode_failures.add()
+        self._m_decode_failures.value += 1.0
         sim = self.sim
         if sim.tracer.enabled:
             sim.trace("mac.loss", rx_address,
@@ -712,6 +716,7 @@ class CsmaMac:
         # queues was measurable at storm rates.
         self._schedule_attempt = medium._attempt_q.schedule
         self._schedule_ack = medium._ack_q.schedule
+        self._frame_ids = frame_id_counter(sim)
         self.address = address
         self.channel = channel
         self.tx_power_dbm = float(tx_power_dbm)
@@ -788,7 +793,13 @@ class CsmaMac:
     # Sending
     # ------------------------------------------------------------------
     def send(self, frame: Frame) -> bool:
-        """Queue a frame; returns False (and counts a drop) when full."""
+        """Queue a frame; returns False (and counts a drop) when full.
+
+        A frame entering its first MAC or wired port is minted its id from
+        :func:`~repro.net.frames.frame_id_counter` (retries keep it).
+        """
+        if frame.frame_id is None:
+            frame.frame_id = next(self._frame_ids)
         queue = self._queue
         if len(queue) >= self.queue_limit:
             self.stats["queue_drops"] += 1
@@ -871,10 +882,9 @@ class CsmaMac:
         self._schedule_ack(ACK_TURNAROUND_S,
                            payload=(self, frame, delivered))
 
-    def _ack_outcome(self, frame: Frame, delivered: bool) -> None:
-        if delivered:
-            self._complete(success=True)
-            return
+    def _ack_lost(self, frame: Frame) -> None:
+        """Genie-ACK reported a lost unicast frame: retry or drop it.
+        (A delivered frame's ACK goes straight to :meth:`_complete`.)"""
         if self._retries < self.retry_limit:
             self._retries += 1
             self._queue.appendleft(frame)

@@ -80,8 +80,10 @@ class WirelessNIC:
         return self.send_frame(frame)
 
     def send_frame(self, frame: Frame) -> bool:
-        # Mains-powered radios (no battery) can never die: skip the probe.
-        if self.energy.battery is not None and self.dead:
+        # Mains-powered radios (no battery) can never die, and a charged
+        # battery is not empty: only then is the ``dead`` probe needed.
+        battery = self.energy.battery
+        if battery is not None and battery.remaining_j <= 0.0 and self.dead:
             return False
         accepted = self.mac.send(frame)
         self._account_energy()
@@ -93,10 +95,18 @@ class WirelessNIC:
         return self.send(BROADCAST, payload, payload_bytes, kind, port)
 
     # ------------------------------------------------------------------
+    # Both per-frame hooks below are EnergyMeter.account() inlined: the
+    # same ``watts * seconds`` expression into ``energy_j[state]``, then
+    # Battery.draw (with its checks) when there is a battery.
     def _on_mac_receive(self, frame: Frame) -> None:
         # Receive airtime energy: approximate with the frame airtime at the
         # base rate (the meter's purpose is comparative, not calorimetric).
-        self.energy.account("rx", frame.airtime(1e6))
+        seconds = (8.0 * frame.wire_bytes) / 1e6
+        energy = self.energy
+        watts = energy.draw_w["rx"]
+        energy.energy_j["rx"] += watts * seconds
+        if energy.battery is not None:
+            energy.battery.draw(watts, seconds)
         if self.on_receive is not None:
             self.on_receive(frame)
 
@@ -104,7 +114,11 @@ class WirelessNIC:
         busy = self.mac.stats["busy_time"]
         delta = busy - self._accounted_busy
         if delta > 0:
-            self.energy.account("tx", delta)
+            energy = self.energy
+            watts = energy.draw_w["tx"]
+            energy.energy_j["tx"] += watts * delta
+            if energy.battery is not None:
+                energy.battery.draw(watts, delta)
             self._accounted_busy = busy
 
     # ------------------------------------------------------------------

@@ -13,15 +13,13 @@ possible when the spec allows it — the exact frustration
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from ..kernel.errors import ConfigurationError
 from ..kernel.events import Priority
 from ..kernel.scheduler import Simulator
 from .platform import ExecutionSpec
-
-_task_ids = itertools.count(1)
 
 
 @dataclass
@@ -34,7 +32,8 @@ class Task:
     #: interactive tasks are what the user is waiting on right now.
     interactive: bool = False
     on_done: Optional[Callable[["Task"], None]] = None
-    task_id: int = field(default_factory=lambda: next(_task_ids))
+    #: minted by the engine the task is first submitted to (None before).
+    task_id: Optional[int] = None
     submitted_at: float = 0.0
     started_at: Optional[float] = None
     finished_at: Optional[float] = None
@@ -71,11 +70,14 @@ class ExecutionEngine:
         self.completed: List[Task] = []
         self.aborted: List[Task] = []
         self.interactive_delays: List[float] = []
+        self._task_ids = itertools.count(1)
 
     # ------------------------------------------------------------------
     def submit(self, task: Task) -> Task:
         if task.mi <= 0:
             raise ConfigurationError("task work must be positive")
+        if task.task_id is None:
+            task.task_id = next(self._task_ids)
         task.submitted_at = self.sim.now
         self._remaining_mi[task.task_id] = task.mi
         self._ready.append(task)

@@ -87,6 +87,33 @@ def test_next_on_module_iterator_is_a_mutation():
             for m in f.mutations] == [("_seq", "next()")]
 
 
+def test_class_body_lambda_counts_as_the_constructor():
+    # ``field(default_factory=lambda: next(_ids))`` runs only inside the
+    # dataclass-generated __init__: the lambda is that constructor's code.
+    summary = _summary(
+        "import itertools\n"
+        "from dataclasses import dataclass, field\n"
+        "_ids = itertools.count(1)\n"
+        "@dataclass\n"
+        "class Task:\n"
+        "    name: str\n"
+        "    task_id: int = field(default_factory=lambda: next(_ids))\n"
+        "    tags: list = field(default_factory=lambda: [x for x in ()])\n")
+    assert [(f.qualname, f.line, f.mutations) for f in summary.functions] \
+        == [("Task.__init__", 7, [("_ids", 7, "next()")])]
+
+
+def test_nested_class_body_lambdas_scanned_once():
+    summary = _summary(
+        "CACHE = {}\n"
+        "class Outer:\n"
+        "    class Inner:\n"
+        "        put = staticmethod(lambda k: (lambda: CACHE.update(k))())\n")
+    assert [(f.qualname, m) for f in summary.functions
+            for m in f.mutations] == [
+        ("Outer.Inner.__init__", ("CACHE", 4, ".update()"))]
+
+
 def test_local_shadows_are_not_module_state():
     summary = _summary(
         "CACHE = {}\n"

@@ -48,6 +48,28 @@ def test_lpc301_fires_when_fork_reachable(tmp_path):
     assert ("LPC301", "repro/services/hazard.py") in codes
 
 
+def test_lpc301_fires_on_dataclass_default_factory_counter(tmp_path):
+    # The old net/frames.py shape: the id counter is consumed only by a
+    # class-body lambda, whose sole caller is the generated __init__.
+    codes, report = _codes(tmp_path, {
+        "net/frames.py": (
+            "import itertools\n"
+            "from dataclasses import dataclass, field\n"
+            "_frame_ids = itertools.count(1)\n"
+            "@dataclass\n"
+            "class Frame:\n"
+            "    src: str\n"
+            "    frame_id: int = field(\n"
+            "        default_factory=lambda: next(_frame_ids))\n"),
+        "cli.py": "from repro.net import frames\n",
+    })
+    assert ("LPC301", "repro/net/frames.py") in codes
+    [finding] = [f for f in report.findings if f.code == "LPC301"]
+    assert finding.line == 8
+    assert "'Frame.__init__' mutates module-level '_frame_ids' (next())" \
+        in finding.message
+
+
 def test_lpc301_silent_when_unreachable(tmp_path):
     # Same hazards, but nothing connects them to a fork entry point.
     codes, _ = _codes(tmp_path, {

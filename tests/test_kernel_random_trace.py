@@ -114,6 +114,27 @@ def test_subscription_delivers_matching_records():
     assert len(got) == 1 and got[0].category == "issue.vnc"
 
 
+def test_subscriber_prefixes_follow_record_matches():
+    """emit() tests subscriber prefixes inline; pin that it keeps exactly
+    TraceRecord.matches semantics: the empty prefix matches everything,
+    a prefix matches itself and its dotted children, never a longer word."""
+    prefixes = ["", "issue", "issues", "issue.x", "issue.x.y", "mac", "i"]
+    categories = ["issue", "issue.x", "issues", "issue.x.y", "issue.xy",
+                  "mac.tx", "", "i"]
+    tracer = Tracer()
+    got = {prefix: [] for prefix in prefixes}
+    for prefix in prefixes:
+        tracer.subscribe(prefix, lambda r, p=prefix: got[p].append(r.category))
+    for category in categories:
+        tracer.emit(_record(category=category))
+    for prefix in prefixes:
+        assert got[prefix] == [c for c in categories
+                               if _record(category=c).matches(prefix)]
+    assert "issue.x" in got["issue"]
+    assert "issues" not in got["issue"]
+    assert got[""] == categories
+
+
 def test_unsubscribe_stops_delivery():
     tracer = Tracer()
     got = []

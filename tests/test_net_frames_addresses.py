@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.kernel.errors import AddressError, ConfigurationError
+from repro.kernel.scheduler import Simulator
 from repro.net.addresses import (
     BROADCAST,
     AddressAllocator,
@@ -12,6 +13,7 @@ from repro.net.addresses import (
     validate_address,
 )
 from repro.net.frames import HEADER_BYTES, MTU_BYTES, Frame
+from repro.net.link import WiredLink
 from repro.net.queueing import DropTailQueue, TokenBucket
 
 
@@ -87,14 +89,32 @@ def test_frame_bad_kind_rejected():
         Frame("a", "b", None, 0, kind="weird")
 
 
+def _wired_pair(sim):
+    link = WiredLink(sim, "a", "b")
+    return link.port_a, link.port_b
+
+
 def test_frame_ids_monotone():
-    a, b = Frame("a", "b"), Frame("a", "b")
-    assert b.frame_id > a.frame_id
+    # Ids belong to the run: minted from the simulator's counter when a
+    # frame is first sent, in send order, starting at 1 in every run.
+    for _run in range(2):
+        port, _ = _wired_pair(Simulator(seed=0, trace=False))
+        a, b = Frame("a", "b"), Frame("a", "b")
+        assert a.frame_id is None and b.frame_id is None
+        port.send_frame(b)
+        port.send_frame(a)
+        assert (b.frame_id, a.frame_id) == (1, 2)
+        port.send_frame(a)  # a frame sent again keeps its id
+        assert a.frame_id == 2
 
 
 def test_frame_clone_fresh_id():
+    port, _ = _wired_pair(Simulator(seed=0, trace=False))
     frame = Frame("a", "b", "payload", 10, "mgmt", 5)
+    port.send_frame(frame)
     clone = frame.clone()
+    assert clone.frame_id is None
+    port.send_frame(clone)
     assert clone.frame_id != frame.frame_id
     assert (clone.src, clone.dst, clone.payload, clone.payload_bytes,
             clone.kind, clone.port) == ("a", "b", "payload", 10, "mgmt", 5)

@@ -172,3 +172,65 @@ def test_dead_battery_silences_radio(sim, world, medium):
 def test_mains_powered_nic_never_dies(sim, world, medium):
     device = Device(sim, world, "plugged", (10, 10), medium=medium)
     assert device.nic.dead is False
+
+
+def test_nic_energy_equals_an_energy_meter_replay():
+    """The NIC's inlined per-frame accounting is EnergyMeter.account to
+    the bit: each frame's energy term equals a fresh meter's account()
+    of the same (state, seconds), and replaying the whole sequence
+    through a fresh meter and battery gives ``==`` totals and charge."""
+    from repro.experiments.workloads import presentation_workflow, projector_room
+
+    room = projector_room(seed=5, trace=False)
+    log = {}
+
+    def isolate(nic, state, call):
+        # Run one accounting step alone so its term can be compared
+        # exactly, then fold it back with the same ``+=`` the NIC uses.
+        energy_j = nic.energy.energy_j
+        total = energy_j[state]
+        energy_j[state] = 0.0
+        call()
+        term = energy_j[state]
+        energy_j[state] = total + term
+        return term
+
+    for device in (room.laptop, room.adapter, room.hub):
+        nic = device.nic
+        calls = log[device.name] = []
+        receive = nic.mac.on_receive
+        account = nic._account_energy
+
+        def on_receive(frame, nic=nic, calls=calls, receive=receive):
+            term = isolate(nic, "rx", lambda: receive(frame))
+            calls.append(("rx", frame.airtime(1e6), term))
+
+        def account_energy(nic=nic, calls=calls, account=account):
+            delta = nic.mac.stats["busy_time"] - nic._accounted_busy
+            term = isolate(nic, "tx", account)
+            if delta > 0:
+                calls.append(("tx", delta, term))
+
+        nic.mac.on_receive = on_receive
+        nic._account_energy = account_energy
+    presentation_workflow(room)
+    room.sim.run(until=40.0)
+
+    assert room.laptop.nic.energy.battery is not None
+    for device in (room.laptop, room.adapter, room.hub):
+        nic = device.nic
+        calls = log[device.name]
+        assert {state for state, _s, _t in calls} == {"rx", "tx"}
+        battery = nic.energy.battery
+        replay = EnergyMeter(room.sim, None if battery is None else
+                             Battery(room.sim, battery.capacity_j))
+        for state, seconds, term in calls:
+            alone = EnergyMeter(room.sim)
+            alone.account(state, seconds)
+            assert term == alone.energy_j[state]
+            replay.account(state, seconds)
+        assert nic.energy.energy_j["rx"] == replay.energy_j["rx"]
+        assert nic.energy.energy_j["tx"] == replay.energy_j["tx"]
+        if battery is not None:
+            assert battery.remaining_j == replay.battery.remaining_j
+            assert battery.remaining_j < battery.capacity_j

@@ -306,3 +306,26 @@ def test_tracing_off_keeps_mac_records_off_the_trace_path(monkeypatch):
     assert room.medium.total_transmissions > 0
     assert [c for c in categories if c.startswith("mac.")] == []
     assert room.sim.tracer.select("issue.radio")
+
+
+def _traced_projector_run():
+    room = projector_room(seed=3)
+    presentation_workflow(room)
+    room.sim.run(until=12.0)
+    records = [(r.time, r.category, r.source, r.message, r.data)
+               for r in room.sim.tracer.records
+               if r.category.startswith(("mac.", "link."))]
+    spans = [(s.start, s.end, s.data) for s in room.sim.tracer.spans
+             if s.category == "mac.tx"]
+    return records, spans
+
+
+def test_frame_ids_belong_to_the_run():
+    """Two identical traced runs in one process write identical ``#id``s
+    into mac.* records and mac.tx span data: frame ids come from the
+    simulator, not from a counter shared by every run in the process."""
+    first = _traced_projector_run()
+    second = _traced_projector_run()
+    assert first[0] and first[1]
+    assert any("#1 " in message for _t, _c, _s, message, _d in first[0])
+    assert first == second
