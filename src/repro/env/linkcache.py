@@ -7,8 +7,11 @@ term — never changes, yet the seed code recomputed it for every frame and
 every interferer.  :class:`LinkCache` memoises the per-pair terms and keys
 the whole cache on the :attr:`~repro.env.world.World.epoch` counter, which
 the world bumps on every ``place``/``move``.  Stationary rooms compute link
-geometry exactly once; mobile rooms pay one recompute per mobility step,
-never per frame.
+geometry exactly once.  Mobile rooms recompute a link on its first use
+after every mobility step, so where most links carry about one frame per
+step the cache saves little: the seed-0 moving crowd of the benchmark
+(300 stations, a step every 0.5 s) misses 65,157 times in 39,332 decode
+attempts, 45,555 of them on interferer terms of the SINR sum.
 
 On top of the pair terms the cache hands out one :class:`LinkRecord` per
 *directed* ``(tx, rx)`` pair.  A record is built on the same lookup that

@@ -4,8 +4,8 @@ The conceptual model scopes interactions physically: a station can only
 affect stations inside its audible radius, so the *transitive closure*
 of the audibility relation decomposes the world into cells that never
 exchange a single frame.  :func:`partition_world` computes those cells
-(union-find over :class:`~repro.env.spatialindex.SpatialGrid` range
-queries) and :func:`assign_cells` packs them onto a fixed number of
+(union-find over one :meth:`~repro.env.spatialindex.SpatialGrid.pairs_within`
+pass) and :func:`assign_cells` packs them onto a fixed number of
 shards for :class:`repro.kernel.shard.ShardedSimulator`.
 
 Everything here is deterministic and order-stable: cells are labelled by
@@ -73,13 +73,14 @@ class PartitionPlan:
 def _components(world: World, radius_m: float) -> List[List[int]]:
     """Connected components of the audibility graph, as index lists.
 
-    Union-find over one grid range query per station.  The radius is the
+    Union-find over the grid's all-pairs pass.  The radius is the
     *conservative* audible radius (clamped shadowing + fade margin, see
     ``WirelessMedium.max_audible_radius_m``), so two stations in
-    different components provably never hear each other.
+    different components provably never hear each other.  Union by lower
+    root keeps every root the minimal index of its component, whatever
+    order the edges arrive in.
     """
-    names = world.names_view()
-    n = len(names)
+    n = len(world)
     parent = list(range(n))
 
     def find(i: int) -> int:
@@ -90,16 +91,14 @@ def _components(world: World, radius_m: float) -> List[List[int]]:
             parent[i], i = root, parent[i]
         return root
 
-    grid = SpatialGrid(world)
-    for i, name in enumerate(names):
-        for j in grid.neighbor_indices_within(name, radius_m):
-            a, b = find(i), find(int(j))
-            if a != b:
-                # Union by lower root so labels stay index-stable.
-                if a < b:
-                    parent[b] = a
-                else:
-                    parent[a] = b
+    first, second = SpatialGrid(world).pairs_within(radius_m)
+    for i, j in zip(first.tolist(), second.tolist()):
+        a, b = find(i), find(j)
+        if a != b:
+            if a < b:
+                parent[b] = a
+            else:
+                parent[a] = b
     groups: Dict[int, List[int]] = {}
     for i in range(n):
         groups.setdefault(find(i), []).append(i)

@@ -26,6 +26,12 @@ Design points (documented in ``docs/performance.md``):
   the result set is identical to the brute-force scan — just cheaper.
   Results come back in world insertion order, which callers rely on for
   deterministic iteration.
+* **One pass for every pair**: :meth:`SpatialGrid.pairs_within` answers
+  "which entities are within ``radius`` of each other?" for the whole
+  population at once — the union of every per-entity query — so a
+  consumer that needs all neighbourhoods of one topology epoch (the
+  medium's audibility table, the shard partitioner) pays a handful of
+  vectorised passes instead of one query per entity.
 """
 
 from __future__ import annotations
@@ -45,6 +51,44 @@ MIN_SEPARATION_M: float = 0.1
 #: Target average entities per cell when the cell size is auto-derived.
 _TARGET_PER_CELL: float = 2.0
 
+#: Relative slack on ``radius / cell`` when :meth:`SpatialGrid.pairs_within`
+#: sizes its buckets: it absorbs the rounding of ``x / cell`` in the cell
+#: coordinates, so a pair exactly ``radius`` apart is never split across
+#: buckets that the pass does not compare.
+_REACH_SLACK: float = 1e-9
+
+#: Most candidate pairs the dense pass materialises at once (rows are taken
+#: in blocks, so its temporaries stay at tens of MB for any population).
+_DENSE_BLOCK_PAIRS: int = 1 << 20
+
+#: Bucket offsets that visit every unordered pair of neighbouring buckets
+#: once: the bucket itself, then half of its eight neighbours.
+_HALF_NEIGHBOURHOOD: Tuple[Tuple[int, int], ...] = (
+    (0, 0), (0, 1), (1, -1), (1, 0), (1, 1))
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``concatenate([arange(s, s + c) for s, c in zip(starts, counts)])``,
+    in one vectorised pass."""
+    total = int(counts.sum())
+    offsets = np.cumsum(counts) - counts
+    return (np.arange(total, dtype=np.intp)
+            + np.repeat(starts - offsets, counts))
+
+
+def _within(positions: np.ndarray, first: np.ndarray, second: np.ndarray,
+            radius: float) -> np.ndarray:
+    """Mask of the pairs ``(first[k], second[k])`` within ``radius``.
+
+    The same expression as :meth:`SpatialGrid.neighbor_indices_within`
+    (and symmetric in the pair, since only squares of the differences
+    enter), so a pair passes here exactly when each end finds the other.
+    """
+    delta = positions[second] - positions[first]
+    dist = np.maximum(
+        np.sqrt(np.einsum("ij,ij->i", delta, delta)), MIN_SEPARATION_M)
+    return dist <= radius
+
 
 class SpatialGrid:
     """Uniform bucket grid over world positions, rebuilt lazily per epoch.
@@ -56,7 +100,7 @@ class SpatialGrid:
     """
 
     __slots__ = ("world", "cell_size", "_auto_cell", "_epoch", "_cell_m",
-                 "_cells", "rebuilds", "queries", "full_scans")
+                 "_cells", "_coords", "rebuilds", "queries", "full_scans")
 
     def __init__(self, world: "World", cell_size: Optional[float] = None) -> None:
         if cell_size is not None and cell_size <= 0:
@@ -68,6 +112,8 @@ class SpatialGrid:
         self._cell_m: float = 1.0
         #: (cx, cy) -> array of entity indices in that cell (ascending).
         self._cells: Dict[Tuple[int, int], np.ndarray] = {}
+        #: ``(n, 2)`` cell coordinates of every entity, in insertion order.
+        self._coords = np.empty((0, 2), dtype=np.intp)
         self.rebuilds = 0
         self.queries = 0
         self.full_scans = 0
@@ -91,8 +137,8 @@ class SpatialGrid:
         self._cell_m = (self._auto_cell_size(count) if self._auto_cell
                         else float(self.cell_size))
         cells: Dict[Tuple[int, int], np.ndarray] = {}
+        coords = np.floor(positions / self._cell_m).astype(np.intp)
         if count:
-            coords = np.floor(positions / self._cell_m).astype(np.intp)
             # Linearise, stable-sort once, then slice per unique cell: one
             # vectorised pass instead of a Python append per entity.
             span = int(coords[:, 1].max()) + 1 if count else 1
@@ -107,6 +153,7 @@ class SpatialGrid:
                 cx, cy = coords[idx[0]]
                 cells[(int(cx), int(cy))] = np.sort(idx)
         self._cells = cells
+        self._coords = coords
         self._epoch = world.epoch
         self.rebuilds += 1
 
@@ -161,6 +208,77 @@ class SpatialGrid:
         hits = hits[hits != me]
         hits.sort()
         return hits
+
+    def pairs_within(self, radius: float) -> Tuple[np.ndarray, np.ndarray]:
+        """Every pair of entities within ``radius`` metres of each other.
+
+        Returns index arrays ``(first, second)`` with ``first < second``,
+        sorted by ``(first, second)``: exactly the pairs the per-entity
+        :meth:`neighbor_indices_within` queries would report, each once.
+        Counts as one query.
+
+        Entities are bucketed into squares of whole grid cells at least
+        ``radius`` wide, so any pair within the radius sits in the same or
+        adjacent buckets, and five vectorised bucket-offset joins
+        enumerate the candidates.  When the radius box covers (nearly)
+        every occupied cell, the joins would touch everything anyway and
+        one dense pass over all pairs runs instead (counted in
+        ``full_scans``), so a world-spanning radius over small cells
+        never loops over cell offsets.
+        """
+        self._ensure_current()
+        self.queries += 1
+        positions = self.world.positions()
+        count = positions.shape[0]
+        reach = radius * (1.0 + _REACH_SLACK) / self._cell_m
+        box = 2.0 * reach + 3.0  # cells per side of the radius box
+        if not box * box < len(self._cells):  # also catches inf and NaN
+            self.full_scans += 1
+            return self._dense_pairs(positions, radius)
+        buckets = self._coords // (int(reach) + 1)
+        height = int(buckets[:, 1].max()) + 3  # room for row offsets -1..1
+        keys = buckets[:, 0] * height + buckets[:, 1] + 1
+        order = np.argsort(keys, kind="stable")
+        sorted_keys = keys[order]
+        slots = np.arange(count, dtype=np.intp)
+        firsts, seconds = [], []
+        for dx, dy in _HALF_NEIGHBOURHOOD:
+            target = sorted_keys + (dx * height + dy)
+            stop = np.searchsorted(sorted_keys, target, "right")
+            if dx == 0 and dy == 0:
+                start = slots + 1  # own bucket: later members only
+            else:
+                start = np.searchsorted(sorted_keys, target, "left")
+            counts = stop - start
+            a = np.repeat(order, counts)
+            b = order[_ranges(start, counts)]
+            keep = _within(positions, a, b, radius)
+            a, b = a[keep], b[keep]
+            firsts.append(np.minimum(a, b))
+            seconds.append(np.maximum(a, b))
+        first = np.concatenate(firsts)
+        second = np.concatenate(seconds)
+        ranked = np.argsort(first * count + second, kind="stable")
+        return first[ranked], second[ranked]
+
+    @staticmethod
+    def _dense_pairs(positions: np.ndarray,
+                     radius: float) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`pairs_within` by testing all pairs, in row blocks."""
+        count = positions.shape[0]
+        rows_per_block = max(1, _DENSE_BLOCK_PAIRS // max(count, 1))
+        firsts = [np.empty(0, dtype=np.intp)]
+        seconds = [np.empty(0, dtype=np.intp)]
+        for lo in range(0, count - 1, rows_per_block):
+            rows = np.arange(lo, min(lo + rows_per_block, count - 1),
+                             dtype=np.intp)
+            counts = count - 1 - rows
+            a = np.repeat(rows, counts)
+            b = _ranges(rows + 1, counts)
+            keep = _within(positions, a, b, radius)
+            firsts.append(a[keep])
+            seconds.append(b[keep])
+        return np.concatenate(firsts), np.concatenate(seconds)
 
     def neighbors_within(self, name: str, radius: float) -> List[str]:
         """Names of entities within ``radius`` of ``name`` (insertion order).

@@ -10,7 +10,8 @@ per the HPC guides' "vectorise the hot loop" rule).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+import math
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,7 +56,10 @@ class World:
 
     Positions are stored in one contiguous ``(n, 2)`` float64 array so the
     propagation model can compute all pairwise distances without Python
-    loops.
+    loops, and mirrored as Python-float ``(x, y)`` tuples for the scalar
+    :meth:`distance_between` (both written only by :meth:`place` and
+    :meth:`move`).  Coordinates must be finite; they are clipped to the
+    world bounds.
     """
 
     #: Initial capacity of the position buffer (doubles when exhausted).
@@ -71,6 +75,8 @@ class World:
         # ``np.vstack`` incremental build costs (O(n^2) to fill a world).
         self._buf = np.empty((self._INITIAL_CAPACITY, 2), dtype=np.float64)
         self._n: int = 0
+        #: the same positions as Python floats, for scalar queries
+        self._xy: List[Tuple[float, float]] = []
         self._names: List[str] = []
         self._index: Dict[str, int] = {}
         self._epoch: int = 0
@@ -108,12 +114,13 @@ class World:
         """Add an entity at ``xy``; names must be unique."""
         if name in self._index:
             raise ConfigurationError(f"entity {name!r} already placed")
-        pos = self._clip(np.asarray(xy, dtype=np.float64))
+        pos = self._clip(name, xy)
         if self._n == self._buf.shape[0]:
             grown = np.empty((self._buf.shape[0] * 2, 2), dtype=np.float64)
             grown[: self._n] = self._buf
             self._buf = grown
         self._buf[self._n] = pos
+        self._xy.append(tuple(pos.tolist()))
         self._index[name] = self._n
         self._names.append(name)
         self._n += 1
@@ -123,7 +130,9 @@ class World:
     def move(self, name: str, xy: Sequence[float]) -> None:
         """Teleport entity ``name`` to ``xy`` (clipped to the world bounds)."""
         idx = self._lookup(name)
-        self._buf[idx] = self._clip(np.asarray(xy, dtype=np.float64))
+        pos = self._clip(name, xy)
+        self._buf[idx] = pos
+        self._xy[idx] = tuple(pos.tolist())
         self._epoch += 1
 
     def position_of(self, name: str) -> np.ndarray:
@@ -138,9 +147,17 @@ class World:
         except KeyError:
             raise ConfigurationError(f"unknown entity {name!r}") from None
 
-    def _clip(self, pos: np.ndarray) -> np.ndarray:
+    def _clip(self, name: str, xy: Sequence[float]) -> np.ndarray:
+        pos = np.asarray(xy, dtype=np.float64)
         if pos.shape != (2,):
             raise ConfigurationError(f"position must be (x, y), got {pos!r}")
+        x, y = pos.tolist()
+        if not (math.isfinite(x) and math.isfinite(y)):
+            # A NaN would read as co-located with everyone (distances clip
+            # to 0.1 m) and land in a garbage grid cell; an infinity would
+            # be silently clipped onto the world edge.
+            raise ConfigurationError(
+                f"position of entity {name!r} must be finite, got ({x}, {y})")
         return np.clip(pos, [0.0, 0.0], [self.width, self.height])
 
     # ------------------------------------------------------------------
@@ -152,12 +169,14 @@ class World:
         The radio medium's carrier-sense and delivery paths call this once
         per (station, transmission) pair, so it avoids the array plumbing
         of :meth:`distances_from` entirely — profiling showed that one
-        change worth ~25% of a dense interference sweep.
+        change worth ~25% of a dense interference sweep.  It reads the
+        Python-float mirror of the positions: the same IEEE operations as
+        on the NumPy scalars, without boxing each intermediate.
         """
-        pa = self._buf[self._lookup(a)]
-        pb = self._buf[self._lookup(b)]
-        dx = pa[0] - pb[0]
-        dy = pa[1] - pb[1]
+        ax, ay = self._xy[self._lookup(a)]
+        bx, by = self._xy[self._lookup(b)]
+        dx = ax - bx
+        dy = ay - by
         dist = (dx * dx + dy * dy) ** 0.5
         return dist if dist > 0.1 else 0.1
 

@@ -74,6 +74,24 @@ _VECTORISE_MIN: int = 8
 #: for fading to rescue a station culled as inaudible.
 FADE_MARGIN_DB: float = 30.0
 
+#: Relative slack on the culling radius when the audibility table asks the
+#: grid for candidate pairs: a pair whose budget lands exactly on the floor
+#: sits, up to rounding of the inverted path-loss model, exactly at the
+#: radius, and must not be lost to that rounding.
+_RADIUS_SLACK: float = 1e-9
+
+#: Half-width (dB) of the band around the audibility floor inside which the
+#: audibility table does not trust its vectorised link budget and re-judges
+#: the pair with the scalar link-cache predicate.  The two evaluations
+#: differ only by float rounding: ``einsum`` and ``np.sqrt`` against
+#: ``dx * dx + dy * dy`` and ``** 0.5`` for the distance, ``np.log10``
+#: against ``math.log10`` for the path loss — each within a few ulp, so
+#: at most ~1e-13 dB on budgets of a few hundred dB.  A 1e-6 dB band is
+#: over a million times wider than that difference, so every verdict
+#: outside it is the scalar verdict, while the band holds only the pairs
+#: that sit (almost) exactly on the floor.
+AUDIBILITY_GUARD_DB: float = 1e-6
+
 # ----------------------------------------------------------------------
 # Timer-class callbacks (module-level so `shared=True` batch classes
 # registered by several media on one simulator compare equal).  These are
@@ -149,9 +167,10 @@ class WirelessMedium:
     put received power above the weakest relevant threshold (the lower of
     carrier-sense and base-rate decode sensitivity, credited with a
     conservative fast-fading margin when fading is on).  Audible sets are
-    found through a :class:`~repro.env.spatialindex.SpatialGrid` radius
-    query and cached per (sender, topology epoch, config epoch), so the
-    cost of a transmission tracks physical neighbours, not population.
+    sliced from a per-epoch audibility table of every station, built in
+    one :meth:`~repro.env.spatialindex.SpatialGrid.pairs_within` pass, and
+    cached per (sender, topology epoch, config epoch), so the cost of a
+    transmission tracks physical neighbours, not population.
     ``culling=False`` keeps the exhaustive scan over every station — the
     reference mode the equivalence tests hold the grid path against
     (outcomes are byte-identical either way; see docs/performance.md).
@@ -208,6 +227,10 @@ class WirelessMedium:
         self._caches_key = (-1, -1)
         #: sender address -> (key, tx_power, audible macs, audible names).
         self._audible: Dict[str, tuple] = {}
+        #: tx power -> audibility table (see ``_audibility_table``), all
+        #: for the (topology epoch, config epoch) in ``_tables_key``.
+        self._tables: Dict[float, tuple] = {}
+        self._tables_key = (-1, -1)
         self._min_cs_dbm = float("inf")
         self._decode_floor_dbm = NOISE_FLOOR_DBM + _DECODE_FLOOR_SINR_DB
         # Medium health lives in the per-simulator registry; ``unique=True``
@@ -346,13 +369,12 @@ class WirelessMedium:
         """``(key, tx_power, audible_macs, audible_names)`` for ``sender``.
 
         Only used with culling on; cached per (topology epoch, config
-        epoch, tx power).  The audible predicate — cached link budget
-        above :meth:`audibility_floor_dbm` — is exactly the one the
-        exhaustive mode applies inline per frame; the grid radius provably
-        covers every station the predicate can pass (shadowing is clamped,
-        the fading margin exceeds the maximum possible fade), so the two
-        modes attempt the same decodes in the same order and outcomes are
-        byte-identical.
+        epoch, tx power).  A stale entry is sliced from the audibility
+        table of that key (:meth:`_audibility_table`, built on first use),
+        whose predicate — link budget above :meth:`audibility_floor_dbm` —
+        is exactly the one the exhaustive mode applies inline per frame,
+        so the two modes attempt the same decodes in the same (attach)
+        order and outcomes are byte-identical.
         """
         key = (self.world.epoch, self._config_epoch)
         entry = self._audible.get(sender.address)
@@ -360,37 +382,97 @@ class WirelessMedium:
         if entry is not None and entry[0] == key and entry[1] == tx_power:
             self._m_cull_reuses.value += 1.0  # Counter.add(), inlined
             return entry
-        margin = FADE_MARGIN_DB if self.fast_fading else 0.0
-        floor = self.audibility_floor_dbm()
-        radius = self.propagation.max_audible_distance_m(
-            tx_power, floor, margin)
-        macs = self._macs
-        if radius < self.world.diagonal_m():
-            order = self._attach_order
-            names = [n for n in self._grid.neighbors_within(
-                sender.address, radius) if n in macs]
-            names.sort(key=order.__getitem__)
-            candidates = [macs[n] for n in names]
-        else:
-            # The radius covers the whole world: culling is a no-op here
-            # and the candidate set is everyone (see docs/performance.md).
-            candidates = list(macs.values())
-        cache = self.link_cache
-        sender_address = sender.address
-        audible = []
-        for mac in candidates:
-            if mac is sender:
-                continue
-            if (tx_power - cache.attenuation_db(sender_address, mac.address)
-                    + margin >= floor):
-                audible.append(mac)
-        entry = (key, tx_power, tuple(audible),
-                 frozenset(m.address for m in audible))
-        self._audible[sender_address] = entry
+        if self._tables_key != key:
+            self._tables_key = key
+            self._tables = {}
+        table = self._tables.get(tx_power)
+        if table is None:
+            table = self._tables[tx_power] = self._audibility_table(tx_power)
+        macs, offsets, receivers = table
+        slot = self._attach_order[sender.address]
+        audible = tuple([macs[k] for k in
+                         receivers[offsets[slot]:offsets[slot + 1]]])
+        entry = (key, tx_power, audible,
+                 frozenset([mac.address for mac in audible]))
+        self._audible[sender.address] = entry
         self._m_cull_builds.add()
         self._m_cull_audible.add(len(audible))
         self._m_cull_culled.add(len(macs) - 1 - len(audible))
         return entry
+
+    def _audibility_table(self, tx_power: float) -> tuple:
+        """Who can reach whom, for every attached station sending at
+        ``tx_power``, in the current topology and config epochs.
+
+        Returns ``(macs, offsets, receivers)``: ``macs`` in attach order,
+        and for the sender in attach slot ``s`` the slots of the stations
+        it can reach, ascending, in ``receivers[offsets[s]:offsets[s+1]]``.
+        Every station's row comes out of one pass, so a moving crowd,
+        where almost every station transmits in every topology epoch, pays
+        one table per mobility step instead of one grid query and one
+        scalar link evaluation per candidate, per sender.
+
+        Candidates are the station pairs :meth:`SpatialGrid.pairs_within
+        <repro.env.spatialindex.SpatialGrid.pairs_within>` finds inside the
+        conservative radius (plus :data:`_RADIUS_SLACK`): shadowing is
+        clamped and the fading margin exceeds any possible fade, so no
+        pair outside it can pass.  When the radius covers the whole world,
+        every station pair is a candidate and the grid is not consulted.
+        Every candidate is scored once with the vectorised path loss plus
+        its frozen shadowing; the budget and hence the verdict are
+        symmetric at one transmit power, so it holds in both directions.
+        Scores within :data:`AUDIBILITY_GUARD_DB` of the floor are
+        re-judged with the scalar link-cache predicate the exhaustive mode
+        uses.
+        """
+        macs = list(self._macs.values())  # attach order
+        names = [mac.address for mac in macs]
+        count = len(macs)
+        world = self.world
+        prop = self.propagation
+        margin = FADE_MARGIN_DB if self.fast_fading else 0.0
+        floor = self.audibility_floor_dbm()
+        radius = prop.max_audible_distance_m(tx_power, floor, margin)
+        if radius < world.diagonal_m():
+            first, second = self._grid.pairs_within(
+                radius * (1.0 + _RADIUS_SLACK))
+        else:
+            first, second = np.triu_indices(len(world), 1)
+        # World index -> attach slot (-1 for entities that are no station).
+        slot = np.full(len(world), -1, dtype=np.intp)
+        slot[np.fromiter(map(world.index_of, names), dtype=np.intp,
+                         count=count)] = np.arange(count, dtype=np.intp)
+        a = slot[first]
+        b = slot[second]
+        stations = (a >= 0) & (b >= 0)
+        first, second = first[stations], second[stations]
+        a, b = a[stations], b[stations]
+        a_list = a.tolist()
+        b_list = b.tolist()
+        positions = world.positions()
+        delta = positions[second] - positions[first]
+        loss = prop.path_loss_db(np.sqrt(np.einsum("ij,ij->i", delta, delta)))
+        shadowing = prop.shadowing_db
+        shadow = np.fromiter(
+            (shadowing(names[i], names[j]) for i, j in zip(a_list, b_list)),
+            dtype=np.float64, count=len(a_list))
+        budget = tx_power - (loss + shadow) + margin
+        audible = budget >= floor + AUDIBILITY_GUARD_DB
+        attenuation = self.link_cache.attenuation_db
+        for k in np.flatnonzero(~audible
+                                & (budget >= floor - AUDIBILITY_GUARD_DB)
+                                ).tolist():
+            audible[k] = (tx_power
+                          - attenuation(names[a_list[k]], names[b_list[k]])
+                          + margin >= floor)
+        a = a[audible]
+        b = b[audible]
+        senders = np.concatenate((a, b))
+        receivers = np.concatenate((b, a))
+        order = np.lexsort((receivers, senders))
+        offsets = np.searchsorted(senders[order],
+                                  np.arange(count + 1)).tolist()
+        return macs, offsets, receivers[order].tolist()
 
     def _judge_audible(self, record: LinkRecord) -> None:
         """Evaluate the audible predicate for ``record`` at its transmit

@@ -98,10 +98,15 @@ def test_broadcast_never_retries(seed, count):
 # Link-record memos never go stale
 # ---------------------------------------------------------------------------
 
-# A 500 m strip puts link budgets on both sides of the audibility floor
-# (about -104 dBm, reached near 400 m at 15 dBm transmit power).
-_coords = st.tuples(st.floats(min_value=0.0, max_value=500.0),
-                    st.floats(min_value=0.0, max_value=60.0))
+# A 600 m square puts link budgets on both sides of the audibility floor
+# (about -104 dBm, reached near 440 m at 15 dBm transmit power), and the
+# medium's pinned 50 m grid cells make it span 144 of them.  Transmit
+# powers differ per station, so the audibility table is built at several
+# powers, some with radii inside the world (grid pairs) and some beyond
+# it (every pair).
+_coords = st.tuples(st.floats(min_value=0.0, max_value=600.0),
+                    st.floats(min_value=0.0, max_value=600.0))
+_powers = st.floats(min_value=-5.0, max_value=20.0)
 _who = st.integers(min_value=0, max_value=63)
 _sizes = st.sampled_from((0, 60, 700, 1400))
 
@@ -110,8 +115,7 @@ _steps = st.lists(st.one_of(
     st.tuples(st.just("broadcast"), _who, _sizes),
     st.tuples(st.just("move"), _who, _coords),
     st.tuples(st.just("channel"), _who, st.sampled_from((1, 3, 6, 11))),
-    st.tuples(st.just("power"), _who,
-              st.floats(min_value=-5.0, max_value=20.0)),
+    st.tuples(st.just("power"), _who, _powers),
     st.tuples(st.just("fer"), _who, st.sampled_from((0.01, 0.1, 0.3))),
     # Carrier-sense thresholds below -104 dBm lower the medium's
     # audibility floor.
@@ -195,10 +199,12 @@ def _assert_losses_consistent(sim):
                                                   wire_bytes)
 
 
-@given(st.lists(_coords, min_size=2, max_size=6, unique=True), _steps,
+@given(st.lists(_coords, min_size=2, max_size=8, unique=True),
+       st.lists(_powers, min_size=8, max_size=8), _steps,
        st.integers(min_value=0, max_value=2**31 - 1))
 @settings(max_examples=50, deadline=None)
-def test_link_record_memos_match_direct_evaluation(positions, steps, seed):
+def test_link_record_memos_match_direct_evaluation(positions, powers, steps,
+                                                   seed):
     """Interleave traffic with every mutation a link record's memos
     depend on (topology, channel, transmit power, FER target, a new
     station lowering the audibility floor, a deafened receiver); after
@@ -206,12 +212,13 @@ def test_link_record_memos_match_direct_evaluation(positions, steps, seed):
     traced decode failure must match its frame, and a deafened station
     must never receive."""
     sim = Simulator(seed=seed, trace=True)
-    world = World(500, 60)
-    medium = WirelessMedium(sim, world)
+    world = World(600, 600)
+    medium = WirelessMedium(sim, world, grid_cell_m=50.0)
     stations = []
     for i, xy in enumerate(positions):
         world.place(f"s{i}", xy)
-        stations.append(CsmaMac(sim, medium, f"s{i}", queue_limit=256))
+        stations.append(CsmaMac(sim, medium, f"s{i}", queue_limit=256,
+                                tx_power_dbm=powers[i]))
 
     for step in steps:
         kind = step[0]

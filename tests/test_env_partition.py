@@ -7,9 +7,11 @@ station lists in every process that computes them.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.env.partition import assign_cells, partition_world
+from repro.env.partition import _components, assign_cells, partition_world
+from repro.env.spatialindex import SpatialGrid
 from repro.env.world import World
 from repro.kernel.errors import ConfigurationError
 
@@ -89,3 +91,42 @@ def test_partition_rejects_bad_configuration(kwargs):
 def test_partition_rejects_empty_world():
     with pytest.raises(ConfigurationError):
         partition_world(World(10.0, 10.0), 50.0)
+
+
+def per_station_components(world: World, radius_m: float):
+    """Reference: union-find over one grid range query per station, with
+    edges arriving station by station (the partitioner's earlier form)."""
+    names = world.names_view()
+    parent = list(range(len(names)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    grid = SpatialGrid(world)
+    for i, name in enumerate(names):
+        for j in grid.neighbor_indices_within(name, radius_m):
+            a, b = find(i), find(int(j))
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+    groups = {}
+    for i in range(len(names)):
+        groups.setdefault(find(i), []).append(i)
+    return [groups[root] for root in sorted(groups)]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_components_match_per_station_queries_on_random_worlds(seed):
+    rng = np.random.default_rng(seed)
+    world = World(float(rng.uniform(50, 3000)), float(rng.uniform(50, 3000)))
+    count = int(rng.integers(1, 250))
+    for i in range(count):
+        world.place(f"s{i}", (rng.uniform(0, world.width),
+                              rng.uniform(0, world.height)))
+    if seed % 3 == 0:  # co-located stations
+        for i in range(20):
+            world.place(f"dup{i}", world.position_of(f"s{i % count}"))
+    for radius in (0.05, 10.0, 60.0, 250.0, 10_000.0):
+        assert _components(world, radius) == \
+            per_station_components(world, radius)

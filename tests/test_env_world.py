@@ -173,3 +173,44 @@ def test_epoch_bumps_on_place_and_move(world):
     assert world.epoch == e0 + 1
     world.move("a", (1, 1))
     assert world.epoch == e0 + 2
+
+
+# ---------------------------------------------------------------------------
+# Finite coordinates and the scalar position mirror
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_coordinates_rejected(world, bad):
+    """A NaN would read as co-located with everyone and an infinity would
+    be clipped onto the world edge: both are configuration errors that
+    name the entity, on placement and on move alike."""
+    with pytest.raises(ConfigurationError, match="'ghost'"):
+        world.place("ghost", (bad, 1.0))
+    assert "ghost" not in world
+    world.place("a", (1.0, 1.0))
+    epoch = world.epoch
+    with pytest.raises(ConfigurationError, match="'a'"):
+        world.move("a", (1.0, bad))
+    assert world.epoch == epoch
+    assert world.distance_between("a", "a") == 0.1
+    assert np.array_equal(world.position_of("a"), [1.0, 1.0])
+
+
+def test_distance_between_reads_the_positions_exactly():
+    """After any mix of placements and moves, the scalar distance equals
+    the NumPy-scalar expression over ``positions()`` bit for bit."""
+    rng = np.random.default_rng(5)
+    world = World(300.0, 200.0)
+    for i in range(40):
+        world.place(f"e{i}", rng.uniform(-20.0, 320.0, size=2))
+    for _ in range(200):
+        world.move(f"e{rng.integers(40)}", rng.uniform(-20.0, 320.0, size=2))
+    world.move("e1", world.position_of("e0"))  # co-located pair
+    positions = world.positions()
+    for i in range(40):
+        for j in range(40):
+            dx = positions[i, 0] - positions[j, 0]
+            dy = positions[i, 1] - positions[j, 1]
+            expected = (dx * dx + dy * dy) ** 0.5
+            expected = expected if expected > 0.1 else 0.1
+            assert world.distance_between(f"e{i}", f"e{j}") == expected

@@ -11,6 +11,7 @@ plus the medium's station/partition caches.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.env.mobility import RandomWaypoint
@@ -218,3 +219,63 @@ def test_small_room_culls_nothing():
     room.sim.run(until=3.0)
     stats = room.medium.culling_stats()
     assert stats["culled"] == 0
+
+
+# ---------------------------------------------------------------------------
+# The per-epoch audibility table
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("ulps_below", [0, 1])
+@pytest.mark.parametrize("b_xy", [(510.0, 50.0), (311.4248, 68.6),
+                                  (323.5493, 56.2)])
+def test_audibility_on_the_floor_and_one_ulp_below(b_xy, ulps_below):
+    """A link budget exactly on the floor is audible; one a ulp below is
+    not.  The floor is set from the scalar budget itself (a carrier-sense
+    threshold below the decode floor), so only the guard band's scalar
+    re-judgement — and the radius slack, since the pair sits exactly at
+    the inverted culling radius — can get both verdicts right.  At the
+    second and third positions the vectorised budget is one ulp below and
+    one ulp above the scalar one (NumPy 2 on x86-64), so a verdict taken
+    from it without the band would be wrong in one of the two cases."""
+    sim = Simulator(seed=3)
+    world = World(2000.0, 100.0)
+    propagation = PropagationModel(shadowing_sigma_db=0.0,
+                                   rng=sim.rng("radio.shadowing"))
+    medium = WirelessMedium(sim, world, propagation=propagation)
+    world.place("a", (10.0, 50.0))
+    world.place("b", b_xy)
+    world.place("far", (1900.0, 50.0))
+    a = CsmaMac(sim, medium, "a", tx_power_dbm=0.0)
+    budget = 0.0 - medium.link_cache.attenuation_db("a", "b")
+    floor = budget if ulps_below == 0 else float(np.nextafter(budget, 0.0))
+    b = CsmaMac(sim, medium, "b", tx_power_dbm=0.0, cs_threshold_dbm=floor)
+    CsmaMac(sim, medium, "far", tx_power_dbm=0.0)
+    assert medium.audibility_floor_dbm() == floor
+    assert medium.max_audible_radius_m(0.0) < world.diagonal_m()
+    expected = ulps_below == 0
+    assert medium._audible_to(a, b) is expected
+    assert medium._audible_to(b, a) is expected
+    assert ("b" in medium._audible_entry(a)[3]) is expected
+    assert ("a" in medium._audible_entry(b)[3]) is expected
+
+
+def test_table_rows_match_the_predicate_at_mixed_powers():
+    """Three transmit powers over a sparse room: every sender's set is
+    exactly the stations the scalar predicate admits, in attach order,
+    and each power's table is built once per topology epoch."""
+    room = broadcast_room(150, culling=True, width=900.0, height=900.0)
+    medium = room.medium
+    for i, mac in enumerate(room.macs):
+        mac.tx_power_dbm = (-3.0, 0.0, 6.0)[i % 3]
+    for sender in room.macs:
+        entry = medium._audible_entry(sender)
+        expected = tuple(mac for mac in medium._macs.values()
+                         if mac is not sender
+                         and medium._audible_to(sender, mac))
+        assert entry[2] == expected
+        assert entry[3] == frozenset(mac.address for mac in expected)
+    stats = medium.culling_stats()
+    assert stats["set_builds"] == 150
+    assert stats["audible"] + stats["culled"] == 150 * 149
+    assert stats["grid"]["queries"] == 3
+    assert stats["grid"]["rebuilds"] == 1
